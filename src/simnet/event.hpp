@@ -9,7 +9,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -53,16 +52,26 @@ class Event {
 /// Monotonic counter with threshold waits and timeouts.
 ///
 /// wait_geq() resolves to true when the counter reaches the threshold and
-/// to false if the timeout elapses first. With kNoTimeout it never times
-/// out. Multiple waiters with different thresholds are supported.
+/// to false if the timeout elapses first or fail_waiters() runs. With
+/// kNoTimeout it never times out. Multiple waiters with different
+/// thresholds are supported.
 ///
-/// Allocation: a kNoTimeout wait registers an intrusive node living in the
+/// Allocation: every wait registers an intrusive Waiter that lives in the
 /// awaiter itself (inside the suspended coroutine frame, whose address is
-/// stable), so the steady-state request path never heap-allocates here.
-/// Timed waits still share state with their timer closure via shared_ptr —
-/// the timer can outlive both the waiter and the Counter, so intrusive
-/// registration would dangle.
+/// stable). A timed wait also arms the Waiter's Scheduler::TimeoutNode in
+/// the scheduler's lane for its duration. Whichever wakes the waiter first
+/// — the threshold, fail_waiters(), or the frame's destruction — cancels
+/// the timeout in O(1), and an expiring timeout unlinks the waiter from
+/// the counter. Once the waiter list and the lane ring have reached their
+/// high-water sizes, no wait allocates.
+///
+/// Lifetimes: a Counter destroyed with waiters parked unlinks them; a timed
+/// waiter still resumes with false when its timeout expires. A frame
+/// destroyed while parked unlinks itself and cancels its timeout, so it is
+/// never resumed.
 class Counter {
+  struct Waiter;
+
  public:
   explicit Counter(Scheduler& sched) : sched_(&sched) {}
   Counter(const Counter&) = delete;
@@ -71,9 +80,7 @@ class Counter {
   /// down (the Scheduler destroys them last): unlink them, so destroying
   /// a frame later never deregisters from freed memory.
   ~Counter() {
-    for (auto& w : waiters_) {
-      if (w.node != nullptr) w.node->registered = nullptr;
-    }
+    for (auto& p : waiters_) p.waiter->listed = false;
   }
 
   std::uint64_t value() const { return value_; }
@@ -88,90 +95,62 @@ class Counter {
   /// never complete — e.g. the endpoint that would have bumped this
   /// counter died. Future waiters are unaffected.
   void fail_waiters() {
-    for (auto& w : waiters_) {
-      if (w.node != nullptr) {
-        w.node->registered = nullptr;
-        w.node->failed = true;
-        sched_->resume_at(sched_->now(), w.node->handle);
-      } else {
-        if (w.state->done) continue;
-        w.state->done = true;
-        w.state->success = false;
-        sched_->resume_at(sched_->now(), w.state->handle);
-      }
-    }
+    for (auto& p : waiters_) wake(*p.waiter, /*failed=*/true);
     waiters_.clear();
   }
 
   /// Awaitable threshold wait; see class comment.
   auto wait_geq(std::uint64_t threshold, Time timeout = kNoTimeout) {
     struct Awaiter {
-      Counter& counter;
+      Waiter node;  // lives in the waiting frame
       std::uint64_t threshold;
       Time timeout;
-      IntrusiveWaiter node;              // kNoTimeout: lives in this frame
-      std::shared_ptr<WaitState> state;  // timed: shared with the timer
 
-      Awaiter(Counter& c, std::uint64_t th, Time to)
-          : counter(c), threshold(th), timeout(to) {}
+      Awaiter(Counter& c, std::uint64_t th, Time to) : threshold(th), timeout(to) {
+        node.counter = &c;
+      }
       Awaiter(const Awaiter&) = delete;
       Awaiter& operator=(const Awaiter&) = delete;
 
       ~Awaiter() {
-        // Frame destroyed while still waiting (teardown): unregister so
-        // the counter never touches freed memory.
-        if (node.registered != nullptr) node.registered->deregister(&node);
+        // Frame destroyed while still waiting (teardown): unlink and disarm,
+        // so neither the counter nor the timeout touches freed memory.
+        if (node.listed) node.counter->deregister(&node);
+        if (node.armed()) Scheduler::cancel_timeout(node);
       }
 
-      bool await_ready() const noexcept { return counter.value_ >= threshold; }
+      bool await_ready() const noexcept { return node.counter->value_ >= threshold; }
       void await_suspend(std::coroutine_handle<> h) {
-        counter.waits_metric_().inc();
-        if (timeout == kNoTimeout) {
-          node.handle = h;
-          node.registered = &counter;
-          // rmclint:allow(zeroalloc): intrusive node lives in the coroutine frame; vector reuses capacity
-          counter.waiters_.push_back({threshold, &node, nullptr});
-          return;
+        Counter& c = *node.counter;
+        c.waits_metric_().inc();
+        node.handle = h;
+        node.listed = true;
+        // rmclint:allow(zeroalloc): node lives in the coroutine frame; vector reuses capacity
+        c.waiters_.push_back({threshold, &node});
+        if (timeout != kNoTimeout) {
+          node.expire = &Counter::expire;
+          c.sched_->arm_timeout(node, timeout);
         }
-        // rmclint:allow(zeroalloc): timed waits allocate by design and are metered via sim.counter.waits; hot paths use kNoTimeout
-        state = std::make_shared<WaitState>();
-        state->handle = h;
-        // rmclint:allow(zeroalloc): waiter vector reuses capacity reached during warmup
-        counter.waiters_.push_back({threshold, nullptr, state});
-        auto s = state;
-        auto* sched = counter.sched_;
-        sched->call_in(timeout, [s, sched] {
-          if (s->done) return;
-          s->done = true;
-          s->success = false;
-          obs::registry().counter("sim.counter.timeouts").inc();
-          sched->resume_at(sched->now(), s->handle);
-        });
       }
-      bool await_resume() const noexcept {
-        return state == nullptr ? !node.failed : state->success;
-      }
+      bool await_resume() const noexcept { return !node.failed; }
     };
+    // The awaiter is stored in every waiting coroutine frame: growing it
+    // could move frames to a larger pool size class.
+    static_assert(sizeof(Awaiter) <= 64);
     return Awaiter{*this, threshold, timeout};
   }
 
  private:
-  struct WaitState {
-    bool done = false;
-    bool success = false;
+  struct Waiter : Scheduler::TimeoutNode {  // the node is armed by timed waits only
+    Counter* counter = nullptr;  ///< the counter waited on
     std::coroutine_handle<> handle;
+    bool listed = false;  ///< on counter->waiters_
+    bool failed = false;  ///< woken by a timeout or fail_waiters
   };
 
-  struct IntrusiveWaiter {
-    std::coroutine_handle<> handle;
-    Counter* registered = nullptr;  // non-null while on the waiter list
-    bool failed = false;            // set by fail_waiters before resuming
-  };
-
-  struct Waiter {
+  struct Parked {
     std::uint64_t threshold;
-    IntrusiveWaiter* node;  // non-null: intrusive (no timeout)
-    std::shared_ptr<WaitState> state;
+    Waiter* waiter;
   };
 
   static obs::Counter& waits_metric_() {
@@ -179,11 +158,33 @@ class Counter {
     return *c;
   }
 
-  void deregister(IntrusiveWaiter* node) {
+  static obs::Counter& timeouts_metric_() {
+    static obs::Counter* c = &obs::registry().counter("sim.counter.timeouts");
+    return *c;
+  }
+
+  /// TimeoutNode::expire for timed waits; the counter may already be gone.
+  static void expire(Scheduler& sched, Scheduler::TimeoutNode& node) {
+    auto& w = static_cast<Waiter&>(node);
+    if (w.listed) w.counter->deregister(&w);
+    w.failed = true;
+    timeouts_metric_().inc();
+    sched.resume_at(sched.now(), w.handle);
+  }
+
+  /// Resume a listed waiter that the caller is removing from waiters_.
+  void wake(Waiter& w, bool failed) {
+    w.listed = false;
+    w.failed = failed;
+    if (w.armed()) Scheduler::cancel_timeout(w);
+    sched_->resume_at(sched_->now(), w.handle);
+  }
+
+  void deregister(Waiter* w) {
     for (std::size_t i = 0; i < waiters_.size(); ++i) {
-      if (waiters_[i].node == node) {
+      if (waiters_[i].waiter == w) {
         waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
-        node->registered = nullptr;
+        w->listed = false;
         return;
       }
     }
@@ -194,31 +195,19 @@ class Counter {
     // in place (capacity is retained, so steady state never reallocates).
     std::size_t keep = 0;
     for (std::size_t i = 0; i < waiters_.size(); ++i) {
-      auto& w = waiters_[i];
-      if (w.node != nullptr) {
-        if (value_ >= w.threshold) {
-          w.node->registered = nullptr;
-          sched_->resume_at(sched_->now(), w.node->handle);
-          continue;
-        }
-      } else {
-        if (w.state->done) continue;  // timed out already; drop
-        if (value_ >= w.threshold) {
-          w.state->done = true;
-          w.state->success = true;
-          sched_->resume_at(sched_->now(), w.state->handle);
-          continue;
-        }
+      const Parked p = waiters_[i];
+      if (value_ >= p.threshold) {
+        wake(*p.waiter, /*failed=*/false);
+        continue;
       }
-      if (keep != i) waiters_[keep] = std::move(w);
-      ++keep;
+      waiters_[keep++] = p;
     }
     waiters_.resize(keep);  // rmclint:allow(zeroalloc): shrink-only compaction, capacity retained
   }
 
   Scheduler* sched_;
   std::uint64_t value_ = 0;
-  std::vector<Waiter> waiters_;
+  std::vector<Parked> waiters_;
 };
 
 }  // namespace rmc::sim

@@ -14,6 +14,9 @@ namespace {
 /// Root profiler scope: every event callback dispatched by the scheduler.
 const std::uint16_t kProfDispatch =
     obs::profiler().register_scope("prof.sim.sched.dispatch", obs::ScopeKind::engine);
+
+/// A new lane's ring capacity (entries); a power of two.
+constexpr std::size_t kLaneInitialCapacity = 64;
 }  // namespace
 
 Scheduler::Scheduler()
@@ -35,6 +38,13 @@ Scheduler::~Scheduler() {
   for (auto& root : roots_) {
     if (root->alive && root->handle) root->handle.destroy();
   }
+  // A node still armed belongs to a frame that outlives this scheduler;
+  // disarm it so its owner never cancels into a freed lane.
+  for (auto& lane : lanes_) {
+    for (std::uint64_t pos = lane->head; pos != lane->tail; ++pos) {
+      if (TimeoutNode* node = lane->at(pos).node) node->lane = nullptr;
+    }
+  }
 }
 
 void Scheduler::call_at(Time t, UniqueFunction fn) {
@@ -51,6 +61,11 @@ void Scheduler::call_at(Time t, UniqueFunction fn) {
     // rmclint:allow(zeroalloc): slot slab grows to the high-water mark, then recycles via free_slots_
     slots_.push_back(std::move(fn));
   }
+  assert(slot < kLaneTag);
+  push_entry(t, seq, slot);
+}
+
+void Scheduler::push_entry(Time t, std::uint64_t seq, std::uint32_t slot) {
   // Hole-based sift-up: walk the insertion hole toward the root comparing
   // keys only; the entry is materialized once, in its final slot.
   std::size_t hole = heap_.size();
@@ -63,6 +78,47 @@ void Scheduler::call_at(Time t, UniqueFunction fn) {
     hole = parent;
   }
   heap_[hole] = Entry{t, seq, slot};
+}
+
+void Scheduler::arm_timeout(TimeoutNode& node, Time dt) {
+  assert(!node.armed() && node.expire != nullptr);
+  const std::uint64_t seq = seq_++;
+  std::uint32_t id = 0;
+  while (id < lanes_.size() && lanes_[id]->duration != dt) ++id;
+  if (id == lanes_.size()) {
+    // rmclint:allow(zeroalloc): one lane per distinct timeout duration, made on first use
+    lanes_.push_back(std::make_unique<TimeoutLane>());
+    lanes_.back()->duration = dt;
+  }
+  TimeoutLane& lane = *lanes_[id];
+  if (lane.tail - lane.head == lane.ring.size()) grow_lane(lane);
+  const Time deadline = now_ + dt;
+  lane.at(lane.tail) = {deadline, seq, &node};
+  node.lane = &lane;
+  node.pos = lane.tail++;
+  // An empty lane had no heap entry; its new front gets one.
+  if (node.pos == lane.head) push_entry(deadline, seq, kLaneTag | id);
+}
+
+void Scheduler::grow_lane(TimeoutLane& lane) {
+  const std::size_t capacity = lane.ring.empty() ? kLaneInitialCapacity : lane.ring.size() * 2;
+  // Rings grow to their high-water size and are then reused.
+  std::vector<TimeoutLane::Armed> bigger(capacity);
+  for (std::uint64_t pos = lane.head; pos != lane.tail; ++pos) {
+    bigger[pos & (capacity - 1)] = lane.at(pos);
+  }
+  lane.ring.swap(bigger);
+}
+
+Scheduler::TimeoutNode* Scheduler::advance_lane(std::uint32_t tag) {
+  TimeoutLane& lane = *lanes_[tag & ~kLaneTag];
+  TimeoutNode* node = lane.at(lane.head++).node;
+  if (node != nullptr) node->lane = nullptr;
+  if (lane.head != lane.tail) {
+    const TimeoutLane::Armed& next = lane.at(lane.head);
+    push_entry(next.deadline, next.seq, tag);
+  }
+  return node;
 }
 
 void Scheduler::pop_top_into(Entry& out) {
@@ -169,6 +225,15 @@ Time Scheduler::run_until(Time deadline) {
     now_ = entry.t;
     ++events_processed_;
     events_metric_->inc();
+    if ((entry.slot & kLaneTag) != 0) {
+      // A timeout lane's front: expire it unless it was cancelled.
+      if (TimeoutNode* node = advance_lane(entry.slot)) {
+        obs::ProfScope prof{kProfDispatch};
+        node->expire(*this, *node);
+      }
+      if (tie_breaker_ != nullptr) tie_breaker_->after_dispatch(now_);
+      continue;
+    }
     // Move the closure out before dispatching: the callback may push new
     // events (growing/reusing slots_) and may destroy queued frames via
     // teardown. The local dies at scope end, before the next pop.

@@ -6,16 +6,16 @@
 // events at the same instant fire in the order they were scheduled. No
 // wall-clock time, no OS threads.
 //
-// PINNED ORDERING GUARANTEE (load-bearing for every BENCH gate and for
-// byte-identical figure tables): with no tie-breaker installed, the
-// dispatch order of same-timestamp events IS their call_at() insertion
-// order, totally ordered by the monotone seq_ stamp. Any change that
-// reorders same-timestamp dispatch — a different heap, a different
-// comparator, unstable sort anywhere in the pop path — invalidates every
-// recorded baseline in tools/bench_baselines/. Schedule exploration
-// (src/simnet/explore.hpp) must go through set_tie_breaker(), which
-// leaves the default path untouched; direct std::priority_queue use in
-// src/ is rejected by rmclint (determinism-priority-queue) for the same
+// PINNED ORDERING GUARANTEE (load-bearing for byte-identical figure tables
+// and for the exact per-op counts of the rmcbench ledger): with no
+// tie-breaker installed, the dispatch order of same-timestamp events IS
+// their insertion order, totally ordered by the monotone seq_ stamp that
+// call_at() and arm_timeout() take. Any change that reorders
+// same-timestamp dispatch — a different heap, a different comparator,
+// unstable sort anywhere in the pop path — changes both. Schedule
+// exploration (src/simnet/explore.hpp) must go through set_tie_breaker(),
+// which leaves the default path untouched; direct std::priority_queue use
+// in src/ is rejected by rmclint (determinism-priority-queue) for the same
 // reason.
 //
 // The queue is a flat 4-ary heap over a vector that only grows. Compared
@@ -27,6 +27,19 @@
 // stores instead of indirect-call UniqueFunction moves.
 // (t, seq) keys are unique, so any min-heap pops the exact same global
 // order — model output is bit-identical to the binary-heap version.
+//
+// Timeout lanes: arm_timeout() registers a cancellable timeout whose node
+// lives in its owner (Counter's timed waits). Timeouts of one duration
+// expire in the order they were armed, so each distinct duration gets one
+// FIFO ring of (deadline, seq, node), and each non-empty ring holds exactly
+// one heap entry, keyed by its front's (deadline, seq). Popping that entry
+// dispatches the front — expiring it if still armed, doing nothing if
+// cancelled — and pushes the next front. Every armed timeout therefore
+// dispatches once, at the (t, seq) a call_in() timer armed at the same
+// point would have, while the heap holds one entry per duration instead of
+// one per pending timeout. Cancelling is O(1): it clears the ring slot.
+// Under a tie-breaker only a lane's front is a candidate, so two timeouts
+// of one duration that expire at the same instant fire in arm order.
 //
 // Lifetime: root tasks handed to spawn() are owned by the scheduler. A root
 // that finishes frees its own frame (and unregisters); roots still blocked
@@ -73,7 +86,20 @@ class TieBreaker {
 };
 
 class Scheduler {
+  struct TimeoutLane;
+
  public:
+  /// A cancellable timeout embedded in its owner (see "Timeout lanes"
+  /// above). The owner sets `expire`, arms the node with arm_timeout(), and
+  /// must cancel it before the node's storage dies. The scheduler disarms
+  /// the node just before it calls `expire`.
+  struct TimeoutNode {
+    void (*expire)(Scheduler&, TimeoutNode&) = nullptr;
+    TimeoutLane* lane = nullptr;  ///< non-null while armed
+    std::uint64_t pos = 0;        ///< absolute ring position in `lane`
+    bool armed() const { return lane != nullptr; }
+  };
+
   Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -92,6 +118,19 @@ class Scheduler {
   /// Resume a coroutine at absolute time `t`.
   void resume_at(Time t, std::coroutine_handle<> h) {
     call_at(t, [h] { h.resume(); });
+  }
+
+  /// Arm `node` to expire `dt` nanoseconds from now. Takes its sequence
+  /// stamp exactly where call_in(dt, ...) would, so the expiry dispatches at
+  /// the same (t, seq) point a timer closure would have.
+  void arm_timeout(TimeoutNode& node, Time dt);
+
+  /// Disarm an armed node in O(1). Its ring slot still dispatches once, as
+  /// a no-op, at its deadline, so event counts and the clock after
+  /// run_until() are those of a timer that was never cancelled.
+  static void cancel_timeout(TimeoutNode& node) {
+    node.lane->at(node.pos).node = nullptr;
+    node.lane = nullptr;
   }
 
   /// Start a detached root task at the current time.
@@ -136,9 +175,28 @@ class Scheduler {
   struct Entry {
     Time t;
     std::uint64_t seq;
-    std::uint32_t slot;  ///< index into slots_ holding the closure
+    std::uint32_t slot;  ///< index into slots_ holding the closure, or kLaneTag | lane id
   };
   static_assert(std::is_trivially_copyable_v<Entry>);
+
+  /// Entry::slot bit marking a timeout lane's heap entry.
+  static constexpr std::uint32_t kLaneTag = std::uint32_t{1} << 31;
+
+  /// One FIFO of armed timeouts sharing a duration. Positions are absolute
+  /// and index the ring modulo its power-of-two capacity, so growing the
+  /// ring never moves a node's position.
+  struct TimeoutLane {
+    struct Armed {
+      Time deadline;
+      std::uint64_t seq;
+      TimeoutNode* node;  ///< null once cancelled
+    };
+    Time duration = 0;
+    std::vector<Armed> ring;  ///< grows to the high-water size, then reused
+    std::uint64_t head = 0;   ///< position of the front
+    std::uint64_t tail = 0;   ///< one past the back
+    Armed& at(std::uint64_t pos) { return ring[pos & (ring.size() - 1)]; }
+  };
 
   struct RootRecord {
     std::coroutine_handle<> handle;
@@ -162,9 +220,21 @@ class Scheduler {
   /// Remove heap_[idx], restoring the heap property (sift up or down).
   void erase_at(std::size_t idx);
 
+  /// Insert the key (t, seq, slot) by hole-based sift-up.
+  void push_entry(Time t, std::uint64_t seq, std::uint32_t slot);
+
+  /// Pop the front of the lane whose heap entry just fired, re-key the lane
+  /// on its next front, and return the popped node disarmed (null if it was
+  /// cancelled).
+  TimeoutNode* advance_lane(std::uint32_t tag);
+
+  /// Double a full lane ring, keeping every entry at its position.
+  static void grow_lane(TimeoutLane& lane);
+
   std::vector<Entry> heap_;
   std::vector<UniqueFunction> slots_;     ///< closures, indexed by Entry::slot
   std::vector<std::uint32_t> free_slots_;  ///< recycled slots_ indices
+  std::vector<std::unique_ptr<TimeoutLane>> lanes_;  ///< indexed by lane id; never shrinks
   std::vector<std::unique_ptr<RootRecord>> roots_;
   std::vector<std::pair<std::uint64_t, std::uint32_t>>
       tie_scratch_;  ///< (seq, heap index) candidates for pop_choice_into

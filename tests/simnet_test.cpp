@@ -1,15 +1,22 @@
 // Unit tests for the discrete-event substrate: scheduler ordering, task
-// composition, events, counters (incl. timeout races), channels, CPU
-// occupancy, fabric timing, and the move-only function wrapper.
+// composition, events, counters (incl. timeout races), timeout lanes,
+// channels, CPU occupancy, fabric timing, and the move-only function
+// wrapper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "simnet/channel.hpp"
 #include "simnet/cpu.hpp"
 #include "simnet/event.hpp"
+#include "simnet/explore.hpp"
 #include "simnet/fabric.hpp"
 #include "simnet/netparams.hpp"
 #include "simnet/scheduler.hpp"
@@ -276,6 +283,244 @@ TEST(Counter, BatchAddWakesAllEligible) {
   sched.call_at(1, [&] { c.add(10); });
   sched.run();
   EXPECT_EQ(woken, 5);
+}
+
+TEST(Counter, TimeoutArmedBeforeSameInstantAddWins) {
+  // The mirror of SimultaneousAddAndTimeoutIsDeterministic: the add is
+  // enqueued only after the waiter armed its timeout, so the timeout's
+  // earlier sequence stamp wins the tie at t=500.
+  Scheduler sched;
+  Counter c(sched);
+  bool ok = true;
+  Time woke_at = 0;
+  sched.spawn([](Scheduler& s, Counter& cc, bool& out, Time& t) -> Task<> {
+    out = co_await cc.wait_geq(1, 500);
+    t = s.now();
+  }(sched, c, ok, woke_at));
+  sched.call_at(0, [&] { sched.call_at(500, [&] { c.add(); }); });
+  sched.run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(woke_at, 500u);
+  EXPECT_EQ(c.value(), 1u);
+}
+
+TEST(Counter, CompletedTimedWaitsKeepTheHeapSmall) {
+  // Each completed wait's timeout stays queued until its deadline, as a
+  // ring slot of the 1 s lane rather than as a heap entry of its own.
+  Scheduler sched;
+  Counter c(sched);
+  auto& depth = obs::registry().gauge("sim.sched.queue_depth");
+  depth.reset();
+  constexpr std::uint64_t kWaits = 100000;
+  std::uint64_t woken = 0;
+  sched.spawn([](Scheduler& s, Counter& cc, std::uint64_t& w) -> Task<> {
+    for (std::uint64_t i = 1; i <= kWaits; ++i) {
+      s.call_in(10, [&cc] { cc.add(); });
+      if (co_await cc.wait_geq(i, 1_s)) ++w;
+    }
+  }(sched, c, woken));
+  sched.run();
+  EXPECT_EQ(woken, kWaits);
+  EXPECT_LE(depth.hwm(), 4);
+  // The spawn, then per wait: the add, the wake-up, and one no-op dispatch
+  // of the cancelled timeout, which also carries the clock to its deadline.
+  EXPECT_EQ(sched.events_processed(), 1 + 3 * kWaits);
+  EXPECT_EQ(sched.now(), (kWaits - 1) * 10 + 1_s);
+}
+
+TEST(Counter, DestroyedCounterStillTimesOutItsTimedWaiter) {
+  Scheduler sched;
+  auto c = std::make_unique<Counter>(sched);
+  bool ok = true;
+  Time woke_at = 0;
+  sched.spawn([](Scheduler& s, Counter& cc, bool& out, Time& t) -> Task<> {
+    out = co_await cc.wait_geq(1, 500);
+    t = s.now();
+  }(sched, *c, ok, woke_at));
+  sched.call_at(100, [&] { c.reset(); });
+  sched.run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(woke_at, 500u);
+}
+
+TEST(Counter, FrameDestroyedWithArmedTimeoutIsNeverResumed) {
+  Scheduler sched;
+  Counter c(sched);
+  bool resumed = false;
+  auto frame = [](Counter& cc, bool& r) -> Task<> {
+    (void)co_await cc.wait_geq(1, 500);
+    r = true;
+  }(c, resumed).detach();
+  sched.resume_at(0, frame);
+  sched.call_at(100, [&] { frame.destroy(); });
+  auto& timeouts = obs::registry().counter("sim.counter.timeouts");
+  const auto timeouts_before = timeouts.value();
+  sched.run();
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(timeouts.value(), timeouts_before);
+  // The start, the destroy, and the cancelled timeout's no-op at t=500.
+  EXPECT_EQ(sched.events_processed(), 3u);
+  EXPECT_EQ(sched.now(), 500u);
+  c.add();  // the frame unlinked itself from the counter too
+  sched.run();
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(sched.events_processed(), 3u);
+}
+
+// ------------------------------------------------------ timeout lanes ----
+//
+// Probes arm Scheduler timeouts directly and log their expiry. A reference
+// call_in() closure armed right behind each probe takes the next sequence
+// stamp, so a lane that dispatches each timeout at the (t, seq) key a
+// closure timer would have puts every probe's 'T' immediately before its
+// own 'R'.
+
+using Log = std::vector<std::pair<char, int>>;
+
+struct Probe : Scheduler::TimeoutNode {
+  int id = 0;
+  Log* log = nullptr;
+  Probe() {
+    expire = [](Scheduler&, Scheduler::TimeoutNode& n) {
+      auto& p = static_cast<Probe&>(n);
+      p.log->emplace_back('T', p.id);
+    };
+  }
+};
+
+std::deque<Probe> make_probes(int n, Log& log) {
+  std::deque<Probe> probes(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    probes[static_cast<std::size_t>(i)].id = i;
+    probes[static_cast<std::size_t>(i)].log = &log;
+  }
+  return probes;
+}
+
+void arm_with_reference(Scheduler& sched, Probe& p, Time dt) {
+  sched.arm_timeout(p, dt);
+  sched.call_in(dt, [&p] { p.log->emplace_back('R', p.id); });
+}
+
+TEST(TimeoutLane, InterleavedDurationsExpireInGlobalOrder) {
+  // Pairs armed every 100 ns into a 200 ns and a 300 ns lane: deadlines of
+  // the two lanes interleave and tie (k*100 + 300 == (k+1)*100 + 200).
+  Scheduler sched;
+  Log log;
+  constexpr int kProbes = 40;
+  auto probes = make_probes(kProbes, log);
+  auto deadline = [](int i) -> Time {
+    return static_cast<Time>(i / 2) * 100 + (i % 2 == 0 ? 200 : 300);
+  };
+  for (int i = 0; i < kProbes; ++i) {
+    Probe& p = probes[static_cast<std::size_t>(i)];
+    const Time dt = i % 2 == 0 ? 200 : 300;
+    sched.call_at(static_cast<Time>(i / 2) * 100,
+                  [&sched, &p, dt] { arm_with_reference(sched, p, dt); });
+  }
+  sched.run();
+
+  std::vector<int> order(kProbes);
+  std::iota(order.begin(), order.end(), 0);  // arm order
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return deadline(a) < deadline(b); });
+  Log expected;
+  for (int id : order) {
+    expected.emplace_back('T', id);
+    expected.emplace_back('R', id);
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sched.events_processed(), 3u * kProbes);  // arm, timeout, reference
+}
+
+TEST(TimeoutLane, OrderHoldsWhileTheRingWrapsAndGrows) {
+  // One 1000 ns lane. Arming every 20 ns keeps ~50 timeouts pending, so the
+  // 64-entry ring wraps; arming every 2 ns from t=3000 keeps ~500 pending,
+  // so the wrapped ring doubles three times. Every third probe is
+  // cancelled halfway to its deadline and must dispatch as a no-op.
+  Scheduler sched;
+  Log log;
+  std::vector<Time> arm_at;
+  for (Time t = 0; t < 3000; t += 20) arm_at.push_back(t);
+  for (Time t = 3000; t < 4000; t += 2) arm_at.push_back(t);
+  const int n = static_cast<int>(arm_at.size());
+  auto probes = make_probes(n, log);
+  Log expected;
+  for (int i = 0; i < n; ++i) {
+    Probe& p = probes[static_cast<std::size_t>(i)];
+    const Time at = arm_at[static_cast<std::size_t>(i)];
+    sched.call_at(at, [&sched, &p] { arm_with_reference(sched, p, 1000); });
+    if (i % 3 == 0) {
+      sched.call_at(at + 500, [&p] { Scheduler::cancel_timeout(p); });
+    } else {
+      expected.emplace_back('T', i);
+    }
+    expected.emplace_back('R', i);
+  }
+  sched.run();
+  EXPECT_EQ(log, expected);
+  for (const Probe& p : probes) EXPECT_FALSE(p.armed());
+  const auto cancels = static_cast<std::uint64_t>((n + 2) / 3);
+  EXPECT_EQ(sched.events_processed(), 3u * static_cast<std::uint64_t>(n) + cancels);
+}
+
+/// Dispatches the last tied candidate: the reverse of the default schedule
+/// at every genuine race.
+class LastPick final : public TieBreaker {
+ public:
+  std::size_t pick(Time t, std::size_t ready) override {
+    (void)t;
+    return ready - 1;
+  }
+};
+
+TEST(TimeoutLane, SameDurationTiesFireInArmOrderUnderAnyTieBreaker) {
+  // Four 500 ns timeouts armed at t=0 from separate closures (so the
+  // breaker decides their arm order) race closures queued for t=500.
+  // Only a lane's front is a heap candidate, so however the breaker picks,
+  // same-lane timeouts that expire at one instant fire in arm order.
+  for (std::uint64_t round = 0; round <= 20; ++round) {
+    Scheduler sched;
+    LastPick last;
+    ScheduleExplorer perm = ScheduleExplorer::permutation(round);
+    perm.begin_run();
+    sched.set_tie_breaker(round == 0 ? static_cast<TieBreaker*>(&last) : &perm);
+    Log log;
+    auto probes = make_probes(4, log);
+    std::vector<int> armed;
+    for (int i = 0; i < 4; ++i) {
+      sched.call_at(0, [&sched, &probes, &armed, i] {
+        armed.push_back(i);
+        sched.arm_timeout(probes[static_cast<std::size_t>(i)], 500);
+      });
+      sched.call_at(500, [&log, i] { log.emplace_back('C', i); });
+    }
+    sched.run();
+    std::vector<int> fired;
+    std::vector<int> closures;
+    for (const auto& [kind, id] : log) (kind == 'T' ? fired : closures).push_back(id);
+    EXPECT_EQ(fired, armed) << "round " << round;
+    if (round == 0) {
+      // The breaker really reversed every race it saw.
+      EXPECT_EQ(armed, (std::vector<int>{3, 2, 1, 0}));
+      EXPECT_EQ(closures, (std::vector<int>{3, 2, 1, 0}));
+    }
+  }
+}
+
+TEST(TimeoutLane, SchedulerTeardownDisarmsSurvivingNodes) {
+  Log log;
+  auto probes = make_probes(2, log);
+  {
+    Scheduler sched;
+    sched.arm_timeout(probes[0], 100);
+    sched.arm_timeout(probes[1], 100);
+    Scheduler::cancel_timeout(probes[0]);
+    EXPECT_TRUE(probes[1].armed());
+  }
+  EXPECT_FALSE(probes[0].armed());
+  EXPECT_FALSE(probes[1].armed());
+  EXPECT_TRUE(log.empty());
 }
 
 // ------------------------------------------------------------ channel ----

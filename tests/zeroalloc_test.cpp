@@ -1,14 +1,20 @@
-// The PR's headline property, verified end to end: once warm, a GET over
-// UCR performs ZERO heap allocations per request — client marshalling,
-// verbs transmit/receive, scheduler dispatch, server worker, store lookup,
-// eager reply, and the client-side landing of the value are all pooled,
-// intrusive, or on the stack.
+// The hot-path allocation budget, verified end to end: once warm, a GET
+// over UCR performs ZERO heap allocations per request — client
+// marshalling, verbs transmit/receive, scheduler dispatch, the timed reply
+// wait at the default op_timeout, server worker, store lookup, eager reply,
+// and the client-side landing of the value are all pooled, intrusive, or
+// on the stack.
 //
 // This TU replaces the global operator new/delete with counting wrappers;
-// the steady-state loop asserts the counter does not move.
+// the steady-state loop asserts the counter does not move. Each warm-up
+// ends by idling one op_timeout of sim time, so every timeout armed so far
+// has expired and the scheduler's timeout lane rings sit empty at their
+// high-water size; the warm-up arms at least as many timeouts as the
+// counted loop, so the counted loop never grows a ring.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -24,32 +30,38 @@ namespace {
 // Not atomic on purpose: the simulation is single-threaded, and the counter
 // must not perturb codegen on the hot path.
 long long g_news = 0;
+
+// Every replacement below allocates and frees through this one out-of-line
+// pair, so no inlined path ever pairs a call to operator new with free().
+[[gnu::noinline]] void* counted_alloc(std::size_t n, std::size_t align) {
+  ++g_news;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) & ~(align - 1));
+  if (p == nullptr) throw std::bad_alloc{};
+  return p;
+}
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
+constexpr std::size_t kDefaultAlign = alignof(std::max_align_t);
 }  // namespace
 
-void* operator new(std::size_t n) {
-  ++g_news;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
+void* operator new(std::size_t n) { return counted_alloc(n, kDefaultAlign); }
+void* operator new[](std::size_t n) { return counted_alloc(n, kDefaultAlign); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
 }
-void* operator new[](std::size_t n) { return operator new(n); }
-void* operator new(std::size_t n, std::align_val_t align) {
-  ++g_news;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (n + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
 }
-void* operator new[](std::size_t n, std::align_val_t align) { return operator new(n, align); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace rmc::mc {
 namespace {
@@ -60,6 +72,10 @@ using sim::Task;
 std::span<const std::byte> val(const std::string& s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
+
+/// Idle time after each warm-up: one default op_timeout plus 1 ns, so every
+/// timeout the warm-up armed has expired.
+const sim::Time kDrainTimeouts = ClientBehavior{}.op_timeout + 1;
 
 TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
   Scheduler sched;
@@ -73,16 +89,14 @@ TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
   Server server{sched, server_host, {}};
   server.attach_ucr_frontend(server_ucr);
 
-  ClientBehavior behavior;
-  behavior.op_timeout = sim::kNoTimeout;  // timed waits heap-allocate a WaitState
-  Client client{sched, client_host, behavior};
+  Client client{sched, client_host, {}};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
   bool done = false;
   long long delta = -1;
   long long failures = 0;
 
-  sched.spawn([](Client& cli, bool& fin, long long& delta2,
+  sched.spawn([](Scheduler& s, Client& cli, bool& fin, long long& delta2,
                  long long& failures2) -> Task<> {
     // ASSERT_* expands to `return;`, ill-formed in a coroutine — check by hand.
     if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
@@ -93,12 +107,14 @@ TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
     }
 
     std::array<std::byte, 256> dest;
-    // Warm-up: fill every pool and free list (scheduler heap, packet and
-    // frame pools, staging slots, slot maps, worker queues, metrics).
-    for (int i = 0; i < 2000; ++i) {
+    // Warm-up: fill every pool and free list (scheduler heap, timeout lane
+    // ring, packet and frame pools, staging slots, slot maps, worker
+    // queues, metrics).
+    for (int i = 0; i < 12000; ++i) {
       auto r = co_await cli.get_into("hot-key", dest);
       if (!r.ok() || r->value_len != 64) { ADD_FAILURE() << "warm-up get"; co_return; }
     }
+    co_await s.delay(kDrainTimeouts);
 
     // Steady state: 10k GETs, zero allocations. No gtest macros inside the
     // loop — even their success paths are not audited for allocation.
@@ -109,7 +125,7 @@ TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
     }
     delta2 = g_news - before;
     fin = true;
-  }(client, done, delta, failures));
+  }(sched, client, done, delta, failures));
   sched.run();
 
   EXPECT_TRUE(done);
@@ -134,16 +150,14 @@ TEST(ZeroAlloc, SteadyStateUcrMgetAllocatesNothing) {
   Server server{sched, server_host, {}};
   server.attach_ucr_frontend(server_ucr);
 
-  ClientBehavior behavior;
-  behavior.op_timeout = sim::kNoTimeout;  // timed waits heap-allocate a WaitState
-  Client client{sched, client_host, behavior};
+  Client client{sched, client_host, {}};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
   bool done = false;
   long long delta = -1;
   long long failures = 0;
 
-  sched.spawn([](Client& cli, bool& fin, long long& delta2,
+  sched.spawn([](Scheduler& s, Client& cli, bool& fin, long long& delta2,
                  long long& failures2) -> Task<> {
     if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
     constexpr std::size_t kWidth = 16;
@@ -160,12 +174,14 @@ TEST(ZeroAlloc, SteadyStateUcrMgetAllocatesNothing) {
       }
     }
 
-    // Warm-up: pools, counter free list, slot maps, worker scratch, the
-    // server's chunk plan vectors, metrics and latency-span registrations.
-    for (int i = 0; i < 500; ++i) {
+    // Warm-up: pools, counter free list, timeout lane ring, slot maps,
+    // worker scratch, the server's chunk plan vectors, metrics and
+    // latency-span registrations.
+    for (int i = 0; i < 2500; ++i) {
       auto st = co_await cli.mget_into(views, slots);
       if (!st.ok()) { ADD_FAILURE() << "warm-up mget"; co_return; }
     }
+    co_await s.delay(kDrainTimeouts);
 
     const long long before = g_news;
     for (int i = 0; i < 2000; ++i) {
@@ -177,7 +193,7 @@ TEST(ZeroAlloc, SteadyStateUcrMgetAllocatesNothing) {
     }
     delta2 = g_news - before;
     fin = true;
-  }(client, done, delta, failures));
+  }(sched, client, done, delta, failures));
   sched.run();
 
   EXPECT_TRUE(done);
@@ -205,7 +221,6 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
 
   ClientBehavior behavior;
   behavior.mode = ClientBehavior::Mode::rfp;
-  behavior.op_timeout = sim::kNoTimeout;  // timed waits heap-allocate a WaitState
   Client client{sched, client_host, behavior};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
@@ -214,8 +229,8 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
   long long set_delta = -1;
   long long failures = 0;
 
-  sched.spawn([](Client& cli, bool& fin, long long& get_delta2, long long& set_delta2,
-                 long long& failures2) -> Task<> {
+  sched.spawn([](Scheduler& s, Client& cli, bool& fin, long long& get_delta2,
+                 long long& set_delta2, long long& failures2) -> Task<> {
     if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
     const std::string value(64, 'v');
     if (!(co_await cli.set("hot-key", val(value), 7)).ok()) {
@@ -225,12 +240,17 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
 
     std::array<std::byte, 256> dest;
     // Warm-up: rings bootstrapped, poll loop resident, every pool filled.
-    for (int i = 0; i < 2000; ++i) {
-      auto r = co_await cli.get_into("hot-key", dest);
-      if (!r.ok() || r->value_len != 64) { ADD_FAILURE() << "warm-up get"; co_return; }
-      if (!(co_await cli.set("hot-key", val(value), 7)).ok()) {
-        ADD_FAILURE() << "warm-up set";
-        co_return;
+    // The idle between the two rounds parks the server's poll loop; the
+    // second round wakes it and runs it back to its steady state.
+    for (int round = 0; round < 2; ++round) {
+      if (round == 1) co_await s.delay(kDrainTimeouts);
+      for (int i = 0; i < 2000; ++i) {
+        auto r = co_await cli.get_into("hot-key", dest);
+        if (!r.ok() || r->value_len != 64) { ADD_FAILURE() << "warm-up get"; co_return; }
+        if (!(co_await cli.set("hot-key", val(value), 7)).ok()) {
+          ADD_FAILURE() << "warm-up set";
+          co_return;
+        }
       }
     }
 
@@ -247,7 +267,7 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
     }
     set_delta2 = g_news - set_before;
     fin = true;
-  }(client, done, get_delta, set_delta, failures));
+  }(sched, client, done, get_delta, set_delta, failures));
   sched.run();
 
   EXPECT_TRUE(done);
@@ -275,9 +295,7 @@ TEST(ZeroAlloc, SteadyStateUcrGetWithProfilingAllocatesNothing) {
   Server server{sched, server_host, {}};
   server.attach_ucr_frontend(server_ucr);
 
-  ClientBehavior behavior;
-  behavior.op_timeout = sim::kNoTimeout;
-  Client client{sched, client_host, behavior};
+  Client client{sched, client_host, {}};
   client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
 
   obs::profiler().reset();
@@ -287,7 +305,7 @@ TEST(ZeroAlloc, SteadyStateUcrGetWithProfilingAllocatesNothing) {
   long long delta = -1;
   long long failures = 0;
 
-  sched.spawn([](Client& cli, bool& fin, long long& delta2,
+  sched.spawn([](Scheduler& s, Client& cli, bool& fin, long long& delta2,
                  long long& failures2) -> Task<> {
     if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
     const std::string value(64, 'v');
@@ -297,10 +315,11 @@ TEST(ZeroAlloc, SteadyStateUcrGetWithProfilingAllocatesNothing) {
     }
 
     std::array<std::byte, 256> dest;
-    for (int i = 0; i < 2000; ++i) {
+    for (int i = 0; i < 12000; ++i) {
       auto r = co_await cli.get_into("hot-key", dest);
       if (!r.ok() || r->value_len != 64) { ADD_FAILURE() << "warm-up get"; co_return; }
     }
+    co_await s.delay(kDrainTimeouts);
 
     const long long before = g_news;
     for (int i = 0; i < 10000; ++i) {
@@ -309,7 +328,7 @@ TEST(ZeroAlloc, SteadyStateUcrGetWithProfilingAllocatesNothing) {
     }
     delta2 = g_news - before;
     fin = true;
-  }(client, done, delta, failures));
+  }(sched, client, done, delta, failures));
   sched.run();
 
   obs::profiler().disable();
