@@ -30,11 +30,10 @@ struct FleetBedConfig {
   ClusterKind cluster = ClusterKind::cluster_b;
   mc::ServerConfig server{};  ///< per-shard; shrink store.slabs.memory_limit
                               ///< below the working set for eviction storms
+  /// In Mode::rfp the client-side ring geometry (client.rfp) is shrunk at
+  /// defaults the same way arena_bytes is: thousands of connections
+  /// multiply every slot.
   mc::ClientBehavior client{};
-  /// Per-shard ring-server knobs when `client.mode` is Mode::rfp. The
-  /// client-side ring geometry (client.rfp) is shrunk at defaults the same
-  /// way arena_bytes is: thousands of connections multiply every slot.
-  rfp::RingServerConfig rfp_cfg{};
   /// Eager/credit tuning. Small values on purpose: fleet values are small
   /// (≤ ~1 KiB) and per-endpoint credit windows multiply across thousands
   /// of endpoints into SRQ arena bytes.

@@ -171,12 +171,12 @@ TestBed::TestBed(TestBedConfig config) : config_(config) {
     server_->attach_ucr_frontend(*server_ucr_);
     switch (config.client.mode) {
       case mc::ClientBehavior::Mode::onesided_get:
-        publisher_ = std::make_unique<onesided::Publisher>(
-            *server_ucr_, *server_host_, server_->store(), config.onesided_cfg);
+        publisher_ = std::make_unique<onesided::Publisher>(*server_ucr_, *server_host_,
+                                                           server_->store());
         break;
       case mc::ClientBehavior::Mode::rfp:
-        ring_server_ = std::make_unique<rfp::RingServer>(
-            *server_ucr_, *server_host_, server_->store(), config.rfp_cfg);
+        ring_server_ = std::make_unique<rfp::RingServer>(*server_ucr_, *server_host_,
+                                                         server_->store());
         break;
       case mc::ClientBehavior::Mode::rpc:
         break;

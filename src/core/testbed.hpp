@@ -54,12 +54,6 @@ struct TestBedConfig {
   mc::ServerConfig server{};
   mc::ClientBehavior client{};
   ucr::UcrConfig ucr{};  ///< eager threshold / CQ mode ablations
-  /// Server-side remote-index knobs when `client.mode` is
-  /// Mode::onesided_get (UCR transports only; ignored otherwise).
-  onesided::PublisherConfig onesided_cfg{};
-  /// Server-side ring geometry / poll policy when `client.mode` is
-  /// Mode::rfp (UCR transports only; ignored otherwise).
-  rfp::RingServerConfig rfp_cfg{};
 };
 
 class TestBed {

@@ -577,9 +577,7 @@ class UcrConn final : public ServerConn {
       // Bootstrap the one-sided index descriptor (one RPC). Failure only
       // degrades this connection to RPC GETs; the connect itself succeeded.
       if (!getter_) {
-        getter_ = std::make_unique<onesided::RemoteGetter>(
-            *runtime_, onesided::GetterConfig{.max_torn_retries = behavior_.onesided_torn_retries,
-                                              .read_timeout = behavior_.op_timeout});
+        getter_ = std::make_unique<onesided::RemoteGetter>(*runtime_, behavior_.op_timeout);
       }
       (void)co_await getter_->bootstrap(*ep_, behavior_.op_timeout);
     } else if (mode == ClientBehavior::Mode::rfp && !behavior_.unreliable_ucr) {

@@ -82,8 +82,6 @@ struct ClientBehavior {
   /// UCR transport mode (see Mode). rpc by default: the RPC-only request
   /// stream is byte-identical to every pre-mode build.
   Mode mode = Mode::rpc;
-  /// Torn-observation re-reads before a one-sided GET falls back to RPC.
-  std::uint32_t onesided_torn_retries = 2;
   /// RFP ring geometry/poll knobs (Mode::rfp connections only).
   rfp::ChannelConfig rfp{};
   /// Per-UCR-connection landing arena for GET/mget values. The default

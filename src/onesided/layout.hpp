@@ -9,14 +9,14 @@
 //    (hash_one_at_a_time), `ways` entries per bucket. One bucket line is
 //    one RDMA Read.
 //  * arena  — one fixed-size record slot per (bucket, way). A published
-//    record is the item's metadata + key + value framed by a seqlock
-//    version pair and covered by a checksum.
+//    record is a ucr frame (ucr/frame.hpp) whose body is the item's
+//    metadata + key + value, sealed at the slot's even version.
 //
 // Nothing here is trusted: every field a client acts on is re-verified
-// after the read (entry self-check, version pair, key bytes, checksum),
-// so a torn or stale observation — the bucket line and the record were
-// snapshotted at different instants while the server mutated the slot —
-// is always detectable and never surfaces as a value.
+// after the read (entry self-check, frame seq pair and checksum, key
+// bytes), so a torn or stale observation — the bucket line and the
+// record were snapshotted at different instants while the server mutated
+// the slot — is always detectable and never surfaces as a value.
 #pragma once
 
 #include <cstddef>
@@ -25,44 +25,25 @@
 #include <span>
 #include <string_view>
 
+#include "ucr/bootstrap.hpp"
+#include "ucr/frame.hpp"
+#include "ucr/runtime.hpp"
+
 namespace rmc::onesided {
 
-/// Bootstrap AM ids (one RPC per client to learn the descriptor).
+/// Bootstrap AM ids (one ucr::BootstrapCall per client to learn the
+/// descriptor).
 inline constexpr std::uint16_t kMsgBootstrap = 0x6d10;
 inline constexpr std::uint16_t kMsgBootstrapResp = 0x6d11;
 
-/// FNV-1a over arbitrary bytes, used for record checksums. (The common/
-/// hash.hpp variant takes a string_view; records are byte spans and the
-/// checksum folds several disjoint fields, so keep an incremental one.)
-class Fnv1a64 {
- public:
-  void mix(std::span<const std::byte> bytes) {
-    for (std::byte b : bytes) {
-      state_ ^= static_cast<std::uint64_t>(b);
-      state_ *= 0x100000001b3ull;
-    }
-  }
-  template <typename T>
-  void mix_value(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::byte raw[sizeof(T)];
-    std::memcpy(raw, &v, sizeof(T));
-    mix({raw, sizeof(T)});
-  }
-  std::uint64_t value() const { return state_; }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ull;
-};
-
 /// One way of a bucket line (32 bytes, so a 4-way bucket is one 128 B
 /// read). `version` is the slot epoch the entry was published under; a
-/// reader requires it to match the record's own version pair exactly.
+/// reader requires it to match the record frame's seq exactly.
 struct BucketEntry {
   std::uint64_t tag = 0;          ///< occupied<<63 | key_len<<32 | hash32
   std::uint32_t version = 0;      ///< slot epoch at publish (even = stable)
   std::uint32_t arena_offset = 0; ///< record start within the arena window
-  std::uint32_t record_len = 0;   ///< bytes to read (header + key + value + tail)
+  std::uint32_t record_len = 0;   ///< bytes to read (the whole record frame)
   std::uint32_t reserved = 0;
   std::uint64_t check = 0;        ///< entry self-check (torn bucket line)
 
@@ -72,7 +53,7 @@ struct BucketEntry {
   bool occupied() const { return (tag >> 63) & 1; }
 
   std::uint64_t expected_check() const {
-    Fnv1a64 h;
+    ucr::Fnv1a64 h;
     h.mix_value(tag);
     h.mix_value(version);
     h.mix_value(arena_offset);
@@ -84,129 +65,71 @@ struct BucketEntry {
 };
 static_assert(sizeof(BucketEntry) == 32);
 
-/// Arena record framing. The layout in the slot is:
-///   RecordHeader | key bytes | value bytes | u32 version_back
-/// version_front/version_back form the seqlock pair; checksum covers the
-/// metadata, the key and the value under the version they were published
-/// with, so a reader that raced a republish cannot stitch old bytes to a
-/// new header.
-struct RecordHeader {
-  std::uint32_t version_front = 0;
+/// Arena record: a frame whose body is RecordMeta | key bytes | value
+/// bytes, sealed with seq = the slot version (even = published, odd =
+/// retracted). The frame checksum binds the version to the metadata, the
+/// key and the value, so a reader that raced a republish cannot stitch
+/// old bytes to a new header.
+struct RecordMeta {
   std::uint16_t key_len = 0;
   std::uint16_t reserved = 0;
   std::uint32_t value_len = 0;
   std::uint32_t flags = 0;
-  std::uint64_t cas = 0;
   std::uint32_t exptime = 0;  ///< absolute cache-clock seconds; 0 = never
-  std::uint32_t reserved2 = 0;
-  std::uint64_t checksum = 0;
-
-  static constexpr std::size_t kTailSize = sizeof(std::uint32_t);
-
-  static std::size_t framed_size(std::size_t key_len, std::size_t value_len) {
-    return sizeof(RecordHeader) + key_len + value_len + kTailSize;
-  }
-
-  std::uint64_t expected_checksum(std::string_view key,
-                                  std::span<const std::byte> value) const {
-    Fnv1a64 h;
-    h.mix_value(version_front);
-    h.mix_value(key_len);
-    h.mix_value(value_len);
-    h.mix_value(flags);
-    h.mix_value(cas);
-    h.mix_value(exptime);
-    h.mix({reinterpret_cast<const std::byte*>(key.data()), key.size()});
-    h.mix(value);
-    return h.value();
-  }
+  std::uint64_t cas = 0;
 };
-static_assert(sizeof(RecordHeader) == 40);
+static_assert(ucr::FrameHeader::kSize + sizeof(RecordMeta) == 40);
 
-/// RDMA window descriptor as it crosses the wire in the bootstrap reply
-/// (mirrors ucr::Runtime::RemoteMemory, kept separate so the layout is a
-/// fixed wire contract).
-struct RemoteWindow {
-  std::uint64_t addr = 0;
-  std::uint32_t rkey = 0;
-  std::uint32_t length = 0;
+/// Bytes of a published record (the RDMA Read length).
+inline constexpr std::size_t record_size(std::size_t key_len, std::size_t value_len) {
+  return ucr::framed_size(sizeof(RecordMeta) + key_len + value_len);
+}
+static_assert(record_size(0, 0) == 44);
+
+/// A verified record: its metadata, with key and value aliasing the record.
+struct RecordView {
+  RecordMeta meta;
+  std::string_view key;
+  std::span<const std::byte> value;
 };
 
-/// Everything a client needs to run the two-read GET protocol. Shipped as
-/// the bootstrap response header.
+/// Open the record frame `record` at epoch `seq`. True when the frame
+/// verifies and its body is exactly RecordMeta | key | value filling the
+/// whole span.
+inline bool open_record(std::span<const std::byte> record, std::uint32_t seq,
+                        RecordView& out) {
+  if (record.size() < record_size(0, 0)) return false;
+  std::span<const std::byte> body;
+  if (ucr::read_frame(record, seq, body) != ucr::FrameState::ready) return false;
+  if (ucr::framed_size(body.size()) != record.size() || body.size() < sizeof(RecordMeta)) {
+    return false;
+  }
+  std::memcpy(&out.meta, body.data(), sizeof(RecordMeta));
+  if (sizeof(RecordMeta) + out.meta.key_len + out.meta.value_len != body.size()) return false;
+  out.key = {reinterpret_cast<const char*>(body.data() + sizeof(RecordMeta)),
+             out.meta.key_len};
+  out.value = body.subspan(sizeof(RecordMeta) + out.meta.key_len);
+  return true;
+}
+
+/// Everything a client needs to run the two-read GET protocol: the
+/// bootstrap reply body. Only the first kWireSize bytes travel (the
+/// struct's tail padding stays home).
 struct IndexDescriptor {
-  RemoteWindow index;
-  RemoteWindow arena;
+  ucr::Runtime::RemoteMemory index;
+  ucr::Runtime::RemoteMemory arena;
   std::uint32_t bucket_count = 0;  ///< power of two
   std::uint32_t ways = 0;
   std::uint32_t slot_size = 0;     ///< fixed record slot bytes
-  std::uint64_t cookie = 0;        ///< echoed bootstrap request cookie
 
-  static constexpr std::size_t kSize = 2 * (8 + 4 + 4) + 4 + 4 + 4 + 8;
-
-  void encode(std::byte* out) const {
-    std::size_t o = 0;
-    auto put = [&](const auto& v) {
-      std::memcpy(out + o, &v, sizeof(v));
-      o += sizeof(v);
-    };
-    put(index.addr);
-    put(index.rkey);
-    put(index.length);
-    put(arena.addr);
-    put(arena.rkey);
-    put(arena.length);
-    put(bucket_count);
-    put(ways);
-    put(slot_size);
-    put(cookie);
-  }
-  static IndexDescriptor decode(const std::byte* in) {
-    IndexDescriptor d;
-    std::size_t o = 0;
-    auto get = [&](auto& v) {
-      std::memcpy(&v, in + o, sizeof(v));
-      o += sizeof(v);
-    };
-    get(d.index.addr);
-    get(d.index.rkey);
-    get(d.index.length);
-    get(d.arena.addr);
-    get(d.arena.rkey);
-    get(d.arena.length);
-    get(d.bucket_count);
-    get(d.ways);
-    get(d.slot_size);
-    get(d.cookie);
-    return d;
-  }
+  static constexpr std::size_t kWireSize = 44;
 
   bool valid() const { return bucket_count != 0 && ways != 0 && slot_size != 0; }
-  /// Largest value publishable in one slot for a given key length.
-  std::uint32_t max_value_len(std::size_t key_len) const {
-    const std::size_t overhead = sizeof(RecordHeader) + key_len + RecordHeader::kTailSize;
-    return overhead >= slot_size ? 0 : static_cast<std::uint32_t>(slot_size - overhead);
-  }
 };
-
-/// Bootstrap request header: the client's reply-counter ref plus a cookie
-/// used to route the response back to the issuing RemoteGetter.
-struct BootstrapRequest {
-  std::uint64_t cookie = 0;
-  std::uint64_t reply_counter = 0;  ///< CounterRef at the client
-
-  static constexpr std::size_t kSize = 16;
-
-  void encode(std::byte* out) const {
-    std::memcpy(out, &cookie, 8);
-    std::memcpy(out + 8, &reply_counter, 8);
-  }
-  static BootstrapRequest decode(const std::byte* in) {
-    BootstrapRequest r;
-    std::memcpy(&r.cookie, in, 8);
-    std::memcpy(&r.reply_counter, in + 8, 8);
-    return r;
-  }
-};
+static_assert(offsetof(IndexDescriptor, slot_size) + sizeof(std::uint32_t) ==
+              IndexDescriptor::kWireSize);
+// Bootstrap wire sizes: a bare 16 B request, a 52 B reply.
+static_assert(ucr::kBootstrapRequestPrefix == 16);
+static_assert(IndexDescriptor::kWireSize + ucr::kBootstrapReplySuffix == 52);
 
 }  // namespace rmc::onesided

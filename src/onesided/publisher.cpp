@@ -27,7 +27,7 @@ Publisher::Publisher(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& stor
   config_.bucket_count = round_up_pow2(std::max(1u, config_.bucket_count));
   config_.ways = std::max(1u, config_.ways);
   config_.slot_size = std::max<std::uint32_t>(
-      config_.slot_size, static_cast<std::uint32_t>(RecordHeader::framed_size(1, 0)));
+      config_.slot_size, static_cast<std::uint32_t>(record_size(1, 0)));
 
   const std::size_t slot_count =
       static_cast<std::size_t>(config_.bucket_count) * config_.ways;
@@ -36,29 +36,19 @@ Publisher::Publisher(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& stor
   slots_.resize(slot_count);
   victim_rr_.assign(config_.bucket_count, 0);
 
-  const auto index_window = runtime_->expose_memory(index_);
-  const auto arena_window = runtime_->expose_memory(arena_);
-  descriptor_.index = {index_window.addr, index_window.rkey, index_window.length};
-  descriptor_.arena = {arena_window.addr, arena_window.rkey, arena_window.length};
+  descriptor_.index = runtime_->expose_memory(index_);
+  descriptor_.arena = runtime_->expose_memory(arena_);
   descriptor_.bucket_count = config_.bucket_count;
   descriptor_.ways = config_.ways;
   descriptor_.slot_size = config_.slot_size;
 
-  // Bootstrap RPC: one eager AM round trip handing the descriptor out.
-  runtime_->register_handler(
-      kMsgBootstrap,
-      {.on_header = {},
-       .on_complete = [this](ucr::Endpoint& ep, std::span<const std::byte> header,
-                             std::span<std::byte>) {
-        if (header.size() < BootstrapRequest::kSize) return;
-        const auto req = BootstrapRequest::decode(header.data());
-        IndexDescriptor resp = descriptor_;
-        resp.cookie = req.cookie;
-        std::byte out[IndexDescriptor::kSize];
-        resp.encode(out);
-        (void)runtime_->send_message(ep, kMsgBootstrapResp, out, {}, nullptr,
-                                     ucr::CounterRef{req.reply_counter}, nullptr);
-      }});
+  // Bootstrap: one eager AM round trip handing the descriptor out.
+  ucr::serve_bootstrap(*runtime_, kMsgBootstrap, kMsgBootstrapResp,
+                       [this](ucr::Endpoint&, std::span<const std::byte>,
+                              std::span<std::byte> reply) {
+                         std::memcpy(reply.data(), &descriptor_, IndexDescriptor::kWireSize);
+                         return IndexDescriptor::kWireSize;
+                       });
 
   store_->set_listener(this);
 }
@@ -94,8 +84,7 @@ std::uint32_t Publisher::pick_slot(std::uint32_t bucket, std::string_view key) {
 
 void Publisher::on_item_linked(const mc::ItemHeader* item) {
   const std::uint32_t bucket = bucket_of(item->key());
-  const std::size_t framed = RecordHeader::framed_size(item->key_len, item->value_len);
-  if (framed > config_.slot_size) {
+  if (record_size(item->key_len, item->value_len) > config_.slot_size) {
     // Oversized values are never published; retract any stale entry for
     // this key so readers fall back instead of seeing the old value.
     ++skipped_oversize_;
@@ -129,51 +118,47 @@ void Publisher::publish(std::uint32_t slot, const mc::ItemHeader* item) {
   // for this slot. (In a threaded implementation the odd intermediate
   // would be written first; the simulator executes this block atomically,
   // so the observable race is a reader spanning two publishes — caught by
-  // the version pair + checksum either way.)
+  // the frame's seq pair + checksum either way.)
   const std::uint32_t version = (state.version | 1u) + 1u;
   state.version = version;
   state.key.assign(item->key());
 
-  std::byte* rec = record_at(slot);
-  RecordHeader hdr;
-  hdr.version_front = version;
-  hdr.key_len = item->key_len;
-  hdr.value_len = item->value_len;
-  hdr.flags = item->flags;
-  hdr.cas = item->cas;
-  hdr.exptime = item->exptime;
-  hdr.checksum = hdr.expected_checksum(item->key(), item->value());
-  std::memcpy(rec, &hdr, sizeof(hdr));
-  std::memcpy(rec + sizeof(hdr), item->key_data(), item->key_len);
-  std::memcpy(rec + sizeof(hdr) + item->key_len, item->value_data(), item->value_len);
-  const std::uint32_t back = version;
-  std::memcpy(rec + sizeof(hdr) + item->key_len + item->value_len, &back, sizeof(back));
+  const std::span<std::byte> record{record_at(slot), config_.slot_size};
+  const std::span<std::byte> body = ucr::frame_body(record);
+  const RecordMeta meta{.key_len = item->key_len,
+                        .value_len = item->value_len,
+                        .flags = item->flags,
+                        .exptime = item->exptime,
+                        .cas = item->cas};
+  std::memcpy(body.data(), &meta, sizeof(meta));
+  std::memcpy(body.data() + sizeof(meta), item->key_data(), item->key_len);
+  std::memcpy(body.data() + sizeof(meta) + item->key_len, item->value_data(),
+              item->value_len);
+  const auto body_len =
+      static_cast<std::uint32_t>(sizeof(meta) + item->key_len + item->value_len);
+  ucr::seal_frame(record, version, body_len);
 
   BucketEntry entry;
   entry.tag = BucketEntry::make_tag(hash_one_at_a_time(item->key()), item->key_len);
   entry.version = version;
   entry.arena_offset = slot * config_.slot_size;
-  entry.record_len =
-      static_cast<std::uint32_t>(RecordHeader::framed_size(item->key_len, item->value_len));
+  entry.record_len = static_cast<std::uint32_t>(ucr::framed_size(body_len));
   entry.seal();
   std::memcpy(entry_at(slot), &entry, sizeof(entry));
 
   ++published_;
   publishes_metric_->inc();
-  charge(sizeof(RecordHeader) + item->key_len + item->value_len);
+  charge(ucr::FrameHeader::kSize + body_len);
 }
 
 void Publisher::retract(std::uint32_t slot) {
   SlotState& state = slots_[slot];
-  // Odd epoch: readers holding the old bucket line see a version mismatch
-  // on the record and fall back instead of serving the dead value.
+  // Odd frame seq: readers holding the old bucket line (or a hint) see a
+  // seq mismatch on the record and fall back instead of serving the dead
+  // value.
   state.version |= 1u;
   state.key.clear();
-  std::byte* rec = record_at(slot);
-  std::uint32_t front;
-  std::memcpy(&front, rec, sizeof(front));
-  front = state.version;
-  std::memcpy(rec, &front, sizeof(front));
+  std::memcpy(record_at(slot), &state.version, sizeof(state.version));
   BucketEntry cleared;  // tag 0 = unoccupied; check of a zero entry differs too
   std::memcpy(entry_at(slot), &cleared, sizeof(cleared));
 

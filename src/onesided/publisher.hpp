@@ -4,15 +4,15 @@
 // array + record arena), listens to the ItemStore's mutation events, and
 // keeps the published view consistent under a per-slot epoch scheme:
 //
-//  * publish  — on link (SET/commit, in-place arith/touch rewrites): copy
-//    the item's metadata+key+value into the slot's record under a fresh
-//    even epoch, then seal the bucket entry with that epoch.
+//  * publish  — on link (SET/commit, in-place arith/touch rewrites): seal
+//    the item's metadata+key+value into the slot's record frame under a
+//    fresh even epoch, then seal the bucket entry with that epoch.
 //  * retract  — on unlink (delete/evict/expiry/replace) and on flush_all:
-//    bump the record's front version to an odd epoch (readers holding the
-//    old bucket line now fail verification) and clear the entry.
+//    mark the record frame's seq odd (readers holding the old bucket line
+//    now fail verification) and clear the entry.
 //
 // Readers never coordinate with the server; every transition is made safe
-// purely by the version/checksum discipline the client re-verifies.
+// purely by the frame seq/checksum discipline the client re-verifies.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +41,8 @@ struct PublisherConfig {
 
 class Publisher final : public mc::StoreListener {
  public:
-  /// Builds the regions, exposes them through `runtime`, registers the
-  /// bootstrap AM handler, and installs itself as `store`'s listener.
+  /// Builds the regions, exposes them through `runtime`, serves the
+  /// bootstrap call, and installs itself as `store`'s listener.
   /// `host` is the server host whose CPU pays the publish copies.
   Publisher(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& store,
             PublisherConfig config = {});

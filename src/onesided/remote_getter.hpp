@@ -1,16 +1,16 @@
 // Client side of the one-sided GET subsystem.
 //
-// A RemoteGetter bootstraps the server's IndexDescriptor with one AM
-// round trip, then serves GETs by RDMA Read. The cold path is two reads
-// — the bucket line keyed by the store's hash, then the record slot the
-// matching entry names. Because the record frame is self-verifying
-// (seqlock version pair, embedded key, checksum over both), a verified
-// hit also yields a location hint, and steady-state GETs re-read the
-// record directly in ONE round trip; a hint that no longer verifies is
-// dropped and the two-read path repairs it. Every read is re-verified
-// (entry self-check, version pair, key bytes, checksum) before a value
-// is surfaced; any mismatch is a torn observation and is retried a
-// bounded number of times before the caller falls back to the RPC GET.
+// A RemoteGetter bootstraps the server's IndexDescriptor with one
+// ucr::BootstrapCall, then serves GETs by RDMA Read. The cold path is two
+// reads — the bucket line keyed by the store's hash, then the record slot
+// the matching entry names. Because the record is a self-verifying frame
+// (seq pair, checksum over metadata, key and value), a verified hit also
+// yields a location hint, and steady-state GETs re-read the record
+// directly in ONE round trip; a hint that no longer verifies is dropped
+// and the two-read path repairs it. Every read is re-verified (entry
+// self-check, frame, key bytes) before a value is surfaced; any mismatch
+// is a torn observation and is retried a bounded number of times before
+// the caller falls back to the RPC GET.
 //
 // The getter is deliberately non-authoritative: a miss here only means
 // "not published" (absent, oversized, or displaced from a full bucket),
@@ -30,23 +30,10 @@
 #include "obs/metrics.hpp"
 #include "onesided/layout.hpp"
 #include "simnet/event.hpp"
+#include "ucr/bootstrap.hpp"
 #include "ucr/runtime.hpp"
 
 namespace rmc::onesided {
-
-struct GetterConfig {
-  /// Re-run the two-read sequence this many times on a torn observation
-  /// before giving up and falling back to RPC.
-  std::uint32_t max_torn_retries = 2;
-  /// Per-read completion timeout (endpoint failures wake waiters earlier
-  /// via the runtime's fail-fast path; this bounds lost completions).
-  sim::Time read_timeout = 1 * kNsPerSec;
-  /// Location hints cached per key (verified hit -> arena offset/length)
-  /// so repeat GETs cost one RDMA Read instead of two. The cache is
-  /// advisory only — a hinted read must still fully verify — so the cap
-  /// just bounds memory; the map is cleared when it fills.
-  std::size_t max_hints = 4096;
-};
 
 /// A verified one-sided GET hit. `value` points into the getter's scratch
 /// buffer and stays valid until the next try_get on the same getter.
@@ -58,13 +45,15 @@ struct OneSidedHit {
 
 class RemoteGetter {
  public:
-  RemoteGetter(ucr::Runtime& runtime, GetterConfig config = {});
-  ~RemoteGetter();
+  /// `read_timeout` bounds each RDMA Read's completion wait (endpoint
+  /// failures wake waiters earlier via the runtime's fail-fast path).
+  RemoteGetter(ucr::Runtime& runtime, sim::Time read_timeout);
   RemoteGetter(const RemoteGetter&) = delete;
   RemoteGetter& operator=(const RemoteGetter&) = delete;
 
   /// The one RPC: fetch the index descriptor over `ep`. Idempotent;
-  /// returns immediately when already bootstrapped.
+  /// returns immediately when already bootstrapped. Only a successful call
+  /// makes the getter ready.
   sim::Task<Status> bootstrap(ucr::Endpoint& ep, sim::Time timeout = 1 * kNsPerSec);
 
   bool ready() const { return descriptor_.valid(); }
@@ -93,10 +82,10 @@ class RemoteGetter {
   /// One RDMA Read + wait. False = failed/timed out (endpoint trouble).
   sim::Task<bool> read(ucr::Endpoint& ep, std::span<std::byte> dst,
                        const ucr::Runtime::RemoteMemory& window, std::uint32_t offset);
-  /// Full record-frame verification: version pair even and matching
-  /// (`expected_version` pins it, 0 accepts any even pair), framed size,
-  /// embedded key, checksum, expiry. On `hit`, `out` points into the
-  /// record bytes.
+  /// Full record verification: the frame at an even seq
+  /// (`expected_version` pins it, 0 accepts any even seq), the exact
+  /// framed size, the embedded key, expiry. On `hit`, `out` points into
+  /// the record bytes.
   Verify verify_record(std::span<const std::byte> record, std::string_view key,
                        std::uint32_t expected_version, OneSidedHit& out) const;
   void remember_hint(const std::string& key, Hint hint);
@@ -104,17 +93,13 @@ class RemoteGetter {
   std::uint32_t now_seconds() const;
 
   ucr::Runtime* runtime_;
-  GetterConfig config_;
+  sim::Time read_timeout_;
+  ucr::BootstrapCall bootstrap_call_;
   IndexDescriptor descriptor_{};
-  std::uint64_t cookie_;  ///< routes the bootstrap response back to us
 
   std::vector<std::byte> scratch_;  ///< bucket line + record landing zone
   std::unique_ptr<sim::Counter> read_counter_;
   std::unordered_map<std::string, Hint> hints_;  ///< key -> last-verified slot
-
-  // Bootstrap rendezvous state.
-  std::unique_ptr<sim::Counter> bootstrap_counter_;
-  ucr::CounterRef bootstrap_ref_{};
 
   obs::Counter* reads_metric_;
   obs::Counter* fallbacks_metric_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "simnet/cpu.hpp"
 #include "ucr/endpoint.hpp"
@@ -11,26 +10,9 @@ namespace rmc::rfp {
 
 namespace ucrp = mc::ucrp;
 
-namespace {
-
-/// Bootstrap responses arrive on a per-runtime AM handler shared by every
-/// channel on that runtime; the descriptor's echoed cookie routes each
-/// response to its owner (the RemoteGetter pattern). Cookies are
-/// process-unique, so all runtimes share one map.
-std::uint64_t next_cookie() {
-  static std::uint64_t next = 1;
-  return next++;
-}
-
-std::unordered_map<std::uint64_t, Channel*>& cookie_registry() {
-  static std::unordered_map<std::uint64_t, Channel*> map;
-  return map;
-}
-
-}  // namespace
-
 Channel::Channel(ucr::Runtime& runtime, sim::Host& host, ChannelConfig config)
-    : runtime_(&runtime), host_(&host), config_(config), cookie_(next_cookie()),
+    : runtime_(&runtime), host_(&host), config_(config),
+      bootstrap_call_(runtime, kMsgRfpBootstrap, kMsgRfpBootstrapResp),
       ops_(&obs::registry().counter("mc.rfp.ops")),
       fallbacks_(&obs::registry().counter("mc.rfp.fallbacks")),
       ring_full_(&obs::registry().counter("mc.rfp.ring_full")),
@@ -39,29 +21,13 @@ Channel::Channel(ucr::Runtime& runtime, sim::Host& host, ChannelConfig config)
   config_.slot_count = std::max(1u, config_.slot_count);
   config_.slot_size = std::max<std::uint32_t>(
       config_.slot_size,
-      static_cast<std::uint32_t>(framed_size(ucrp::ResponseHeader::kSize)));
-  cookie_registry()[cookie_] = this;
-  // Re-registering is idempotent: the handler closes over nothing and
-  // resolves the owning channel through the cookie registry.
-  runtime_->register_handler(
-      kMsgRfpBootstrapResp,
-      {.on_header = {},
-       .on_complete = [](ucr::Endpoint&, std::span<const std::byte> header,
-                         std::span<std::byte>) {
-        if (header.size() < RingDescriptor::kSize) return;
-        const RingDescriptor d = RingDescriptor::decode(header.data());
-        auto it = cookie_registry().find(d.cookie);
-        if (it != cookie_registry().end()) it->second->descriptor_ = d;
-      }});
+      static_cast<std::uint32_t>(ucr::framed_size(ucrp::ResponseHeader::kSize)));
   down_handler_id_ = runtime_->on_endpoint_down([this](ucr::Endpoint& ep, Errc) {
     if (ep_ == &ep) invalidate();
   });
 }
 
-Channel::~Channel() {
-  cookie_registry().erase(cookie_);
-  runtime_->remove_endpoint_handler(down_handler_id_);
-}
+Channel::~Channel() { runtime_->remove_endpoint_handler(down_handler_id_); }
 
 void Channel::invalidate() {
   ep_ = nullptr;
@@ -94,39 +60,26 @@ sim::Task<Status> Channel::bootstrap(ucr::Endpoint& ep, sim::Time timeout) {
   response_arena_.assign(arena_bytes, std::byte{0});
   request_staging_.assign(arena_bytes, std::byte{0});
   runtime_->register_region(request_staging_);
-  const auto response_window = runtime_->expose_memory(response_arena_);
 
-  bootstrap_counter_ = runtime_->make_counter();
-  bootstrap_ref_ = runtime_->export_counter(*bootstrap_counter_);
-
-  BootstrapRequest req;
-  req.cookie = cookie_;
-  req.reply_counter = bootstrap_ref_.id;
-  req.response_ring = {response_window.addr, response_window.rkey,
-                       response_window.length};
-  req.slot_count = config_.slot_count;
-  req.slot_size = config_.slot_size;
-  std::byte header[BootstrapRequest::kSize];
-  req.encode(header);
-  auto sent = runtime_->send_message(ep, kMsgRfpBootstrap, header, {}, nullptr,
-                                     ucr::CounterRef{}, nullptr);
-  if (!sent.ok()) co_return sent;
-
-  const bool woke = co_await bootstrap_counter_->wait_geq(1, timeout);
-  if (!woke) co_return Errc::timed_out;
-  if (!descriptor_.valid()) co_return Errc::protocol_error;
+  const RingProposal proposal{.response_ring = runtime_->expose_memory(response_arena_),
+                              .slot_count = config_.slot_count,
+                              .slot_size = config_.slot_size};
+  auto reply = co_await bootstrap_call_.call(ep, std::as_bytes(std::span(&proposal, 1)),
+                                             timeout);
+  if (!reply.ok()) co_return reply.error();
+  RingDescriptor descriptor;
+  if (reply->size() != sizeof(descriptor)) co_return Errc::protocol_error;
+  std::memcpy(&descriptor, reply->data(), sizeof(descriptor));
   // Adopted geometry must fit the arenas we shipped a window for.
-  if (static_cast<std::size_t>(descriptor_.slot_count) * descriptor_.slot_size >
-      arena_bytes) {
-    descriptor_ = {};
+  if (!descriptor.valid() ||
+      static_cast<std::size_t>(descriptor.slot_count) * descriptor.slot_size > arena_bytes) {
     co_return Errc::protocol_error;
   }
 
+  descriptor_ = descriptor;
   slots_.assign(descriptor_.slot_count, Slot{});
   ++slots_epoch_;
   busy_slots_ = 0;
-  request_window_ = {descriptor_.request_ring.addr, descriptor_.request_ring.rkey,
-                     descriptor_.request_ring.length};
   ep_ = &ep;
   last_traffic_ = runtime_->scheduler().now();
   co_return Status{};
@@ -137,7 +90,7 @@ void Channel::reclaim_lost() {
     Slot& s = slots_[i];
     if (s.state != SlotState::lost) continue;
     std::span<const std::byte> body;
-    if (read_frame(response_slot(i), s.seq, body) == FrameState::ready) {
+    if (ucr::read_frame(response_slot(i), s.seq, body) == ucr::FrameState::ready) {
       // The abandoned op's response finally landed: its epoch is closed
       // and the slot can carry a new op.
       s.seq += 1;
@@ -175,7 +128,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
     co_return Errc::disconnected;
   }
   const std::size_t body_len = ucrp::RequestHeader::kSize + head.size() + tail.size();
-  if (body_len > body_capacity(descriptor_.slot_size)) {
+  if (body_len > ucr::body_capacity(descriptor_.slot_size)) {
     oversize_->inc();
     fallbacks_->inc();
     co_return Errc::too_large;
@@ -207,8 +160,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
   if (descriptor_.park_after_ns != 0 &&
       sched.now() - last_traffic_ >=
           static_cast<sim::Time>(descriptor_.park_after_ns / 2)) {
-    std::byte wake[sizeof(cookie_)];
-    std::memcpy(wake, &cookie_, sizeof(cookie_));
+    const std::byte wake[kWakeBodySize]{};
     (void)runtime_->send_message(ep, kMsgRfpWake, wake, {}, nullptr,
                                  ucr::CounterRef{}, nullptr);
   }
@@ -222,7 +174,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
 
   const std::uint32_t seq = slots_[slot].seq;
   const std::span<std::byte> staging = request_slot(slot);
-  const std::span<std::byte> body = frame_body(staging);
+  const std::span<std::byte> body = ucr::frame_body(staging);
   hdr.encode(body.data());
   if (!head.empty()) {
     std::memcpy(body.data() + ucrp::RequestHeader::kSize, head.data(), head.size());
@@ -231,11 +183,11 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
     std::memcpy(body.data() + ucrp::RequestHeader::kSize + head.size(), tail.data(),
                 tail.size());
   }
-  seal_frame(staging, seq, static_cast<std::uint32_t>(body_len));
+  ucr::seal_frame(staging, seq, static_cast<std::uint32_t>(body_len));
 
   auto posted = runtime_->put(
-      ep, staging.first(framed_size(static_cast<std::uint32_t>(body_len))),
-      request_window_, slot * descriptor_.slot_size, nullptr);
+      ep, staging.first(ucr::framed_size(body_len)),
+      descriptor_.request_ring, slot * descriptor_.slot_size, nullptr);
   if (!posted.ok()) {
     // Never went out: the slot's seq is untouched and reusable.
     abandon(SlotState::free);
@@ -251,8 +203,8 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
       co_return Errc::disconnected;
     }
     std::span<const std::byte> resp_body;
-    switch (read_frame(response_slot(slot), seq, resp_body)) {
-      case FrameState::ready: {
+    switch (ucr::read_frame(response_slot(slot), seq, resp_body)) {
+      case ucr::FrameState::ready: {
         if (resp_body.size() < ucrp::ResponseHeader::kSize) {
           // Verified but malformed — server bug, not a race. Epoch is
           // closed, so free the slot and fall back.
@@ -266,14 +218,14 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
         out.slot = slot;
         co_return out;
       }
-      case FrameState::torn:
+      case ucr::FrameState::torn:
         torn_retries_->inc();
         if (++torn_seen > config_.max_torn_retries) {
           abandon(SlotState::lost);
           co_return Errc::protocol_error;
         }
         break;
-      case FrameState::empty:
+      case ucr::FrameState::empty:
         break;
     }
     if (bounded && sched.now() >= deadline) {

@@ -1,8 +1,8 @@
 // Client side of the RFP subsystem: the op channel.
 //
-// A Channel bootstraps a ring pair with one cookie-routed AM round trip
-// (the client ships the window of its response arena, the server answers
-// with the window of the request ring it allocated), then serves whole
+// A Channel bootstraps a ring pair with one ucr::BootstrapCall (the
+// client ships the window of its response arena, the server answers with
+// the window of the request ring it allocated), then serves whole
 // memcached ops without any further active message: the request is
 // framed into a ring slot and RDMA-written to the server, and the
 // response is polled *locally* out of the slot-matched response arena
@@ -27,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "rfp/layout.hpp"
 #include "simnet/event.hpp"
+#include "ucr/bootstrap.hpp"
 #include "ucr/runtime.hpp"
 
 namespace rmc::rfp {
@@ -87,7 +88,7 @@ class Channel {
   /// Largest request body (RequestHeader + key + value) execute() can
   /// frame; 0 until bootstrapped.
   std::uint32_t max_body() const {
-    return ready() ? body_capacity(descriptor_.slot_size) : 0;
+    return ready() ? ucr::body_capacity(descriptor_.slot_size) : 0;
   }
   std::uint32_t slots_in_flight() const { return busy_slots_; }
 
@@ -116,12 +117,11 @@ class Channel {
   ucr::Runtime* runtime_;
   sim::Host* host_;
   ChannelConfig config_;
-  std::uint64_t cookie_;  ///< routes the bootstrap response back to us
+  ucr::BootstrapCall bootstrap_call_;
   std::uint64_t down_handler_id_ = 0;
 
   ucr::Endpoint* ep_ = nullptr;    ///< endpoint the rings are bound to
   RingDescriptor descriptor_{};    ///< server's reply (adopted geometry)
-  ucr::Runtime::RemoteMemory request_window_{};
 
   std::vector<std::byte> response_arena_;  ///< exposed; server writes here
   std::vector<std::byte> request_staging_; ///< registered; frames built here
@@ -133,10 +133,6 @@ class Channel {
   std::uint64_t slots_epoch_ = 0;
   std::uint32_t busy_slots_ = 0;
   sim::Time last_traffic_ = 0;  ///< wake-AM bookkeeping vs server parking
-
-  // Bootstrap rendezvous state.
-  std::unique_ptr<sim::Counter> bootstrap_counter_;
-  ucr::CounterRef bootstrap_ref_{};
 
   obs::Counter* ops_;
   obs::Counter* fallbacks_;

@@ -36,18 +36,22 @@ RingServer::RingServer(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& st
   config_.max_slot_count = std::max(1u, config_.max_slot_count);
   config_.max_slot_size = std::max<std::uint32_t>(
       config_.max_slot_size,
-      static_cast<std::uint32_t>(framed_size(ucrp::ResponseHeader::kSize)));
+      static_cast<std::uint32_t>(ucr::framed_size(ucrp::ResponseHeader::kSize)));
   ready_slots_.reserve(config_.max_slot_count);
   ready_lens_.reserve(config_.max_slot_count);
 
-  runtime_->register_handler(
-      kMsgRfpBootstrap,
-      {.on_header = {},
-       .on_complete = [this](ucr::Endpoint& ep, std::span<const std::byte> header,
-                             std::span<std::byte>) {
-        if (header.size() < BootstrapRequest::kSize) return;
-        on_bootstrap(ep, BootstrapRequest::decode(header.data()));
-      }});
+  ucr::serve_bootstrap(
+      *runtime_, kMsgRfpBootstrap, kMsgRfpBootstrapResp,
+      [this](ucr::Endpoint& ep, std::span<const std::byte> request,
+             std::span<std::byte> reply) {
+        RingProposal proposal;  // a short request proposes nothing usable
+        if (request.size() >= sizeof(proposal)) {
+          std::memcpy(&proposal, request.data(), sizeof(proposal));
+        }
+        const RingDescriptor descriptor = on_bootstrap(ep, proposal);
+        std::memcpy(reply.data(), &descriptor, sizeof(descriptor));
+        return sizeof(descriptor);
+      });
   runtime_->register_handler(
       kMsgRfpWake,
       {.on_header = {},
@@ -69,10 +73,8 @@ RingServer::RingServer(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& st
 
 RingServer::~RingServer() { runtime_->remove_endpoint_handler(down_handler_id_); }
 
-void RingServer::on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req) {
+RingDescriptor RingServer::on_bootstrap(ucr::Endpoint& ep, const RingProposal& req) {
   RingDescriptor resp;
-  resp.cookie = req.cookie;
-
   const std::uint32_t slot_count =
       std::min(std::max(1u, req.slot_count), config_.max_slot_count);
   const std::uint32_t slot_size = std::min(req.slot_size, config_.max_slot_size);
@@ -81,7 +83,7 @@ void RingServer::on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req) {
   // Geometry sanity: the response arena must cover the clamped ring and
   // slots must frame at least a bare response. An unusable proposal gets
   // a zeroed (invalid) descriptor back — the client stays on classic RPC.
-  const bool usable = body_capacity(slot_size) >= ucrp::ResponseHeader::kSize &&
+  const bool usable = ucr::body_capacity(slot_size) >= ucrp::ResponseHeader::kSize &&
                       req.response_ring.length >= span_bytes &&
                       ep.type() == ucr::EpType::reliable;
   if (usable) {
@@ -96,11 +98,9 @@ void RingServer::on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req) {
     ring->expected_seq.assign(slot_count, 1);
     ring->request_window = runtime_->expose_memory(ring->ring);
     runtime_->register_region(ring->staging);
-    ring->response_window = {req.response_ring.addr, req.response_ring.rkey,
-                             req.response_ring.length};
+    ring->response_window = req.response_ring;
 
-    resp.request_ring = {ring->request_window.addr, ring->request_window.rkey,
-                         ring->request_window.length};
+    resp.request_ring = ring->request_window;
     resp.slot_count = slot_count;
     resp.slot_size = slot_size;
     resp.park_after_ns = static_cast<std::uint64_t>(config_.park_after_ns);
@@ -118,11 +118,7 @@ void RingServer::on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req) {
     bootstraps_->inc();
     ensure_polling();
   }
-
-  std::byte out[RingDescriptor::kSize];
-  resp.encode(out);
-  (void)runtime_->send_message(ep, kMsgRfpBootstrapResp, out, {}, nullptr,
-                               ucr::CounterRef{req.reply_counter}, nullptr);
+  return resp;
 }
 
 void RingServer::ensure_polling() {
@@ -171,16 +167,16 @@ sim::Task<> RingServer::poll_loop() {
         obs::ProfScope prof{kProfPoll};
         for (std::uint32_t slot = 0; slot < ring.slot_count; ++slot) {
           std::span<const std::byte> body;
-          switch (read_frame(slot_span(ring.ring, slot, ring.slot_size),
+          switch (ucr::read_frame(slot_span(ring.ring, slot, ring.slot_size),
                              ring.expected_seq[slot], body)) {
-            case FrameState::ready:
+            case ucr::FrameState::ready:
               ready_slots_.push_back(slot);
               break;
-            case FrameState::torn:
+            case ucr::FrameState::torn:
               // A client write still landing; the next sweep picks it up.
               torn_frames_->inc();
               break;
-            case FrameState::empty:
+            case ucr::FrameState::empty:
               break;
           }
         }
@@ -193,7 +189,7 @@ sim::Task<> RingServer::poll_loop() {
         std::span<const std::byte> body;
         // Re-read is stable: the client never rewrites a slot before it
         // has consumed the matching response, and this frame verified.
-        (void)read_frame(slot_span(ring.ring, slot, ring.slot_size),
+        (void)ucr::read_frame(slot_span(ring.ring, slot, ring.slot_size),
                          ring.expected_seq[slot], body);
         ready_lens_.push_back(co_await execute(ring, slot, body));
         release_slot(ring, slot);
@@ -238,7 +234,7 @@ std::size_t RingServer::seal_response(ClientRing& ring, std::uint32_t slot,
                                       const ucrp::ResponseHeader& resp,
                                       std::span<const std::byte> value) {
   const std::span<std::byte> staging = slot_span(ring.staging, slot, ring.slot_size);
-  const std::uint32_t capacity = body_capacity(ring.slot_size);
+  const std::uint32_t capacity = ucr::body_capacity(ring.slot_size);
   ucrp::ResponseHeader out = resp;
   if (ucrp::ResponseHeader::kSize + value.size() > capacity) {
     // Reply cannot be framed in one slot: tell the client to re-run the
@@ -246,22 +242,22 @@ std::size_t RingServer::seal_response(ClientRing& ring, std::uint32_t slot,
     out.status = ucrp::RStatus::server_error;
     value = {};
   }
-  const std::span<std::byte> body = frame_body(staging);
+  const std::span<std::byte> body = ucr::frame_body(staging);
   out.encode(body.data());
   if (!value.empty()) {
     std::memcpy(body.data() + ucrp::ResponseHeader::kSize, value.data(), value.size());
   }
   const auto body_len =
       static_cast<std::uint32_t>(ucrp::ResponseHeader::kSize + value.size());
-  seal_frame(staging, ring.expected_seq[slot], body_len);
-  return framed_size(body_len);
+  ucr::seal_frame(staging, ring.expected_seq[slot], body_len);
+  return ucr::framed_size(body_len);
 }
 
 std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
                                      const ucrp::RequestHeader& req,
                                      std::span<const std::byte> key_block) {
   const std::span<std::byte> staging = slot_span(ring.staging, slot, ring.slot_size);
-  const std::span<std::byte> body = frame_body(staging);
+  const std::span<std::byte> body = ucr::frame_body(staging);
   const auto key_count = static_cast<std::uint32_t>(req.delta);
 
   ucrp::ResponseHeader resp;
@@ -323,8 +319,8 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   chunk.encode(body.data() + ucrp::ResponseHeader::kSize);
   mget_value_bytes_ = value_bytes;
   const auto body_len = static_cast<std::uint32_t>(values_at);
-  seal_frame(staging, ring.expected_seq[slot], body_len);
-  return framed_size(body_len);
+  ucr::seal_frame(staging, ring.expected_seq[slot], body_len);
+  return ucr::framed_size(body_len);
 }
 
 sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,

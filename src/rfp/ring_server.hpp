@@ -1,7 +1,7 @@
 // Server side of the RFP subsystem: per-client request rings + poll loop.
 //
 // A RingServer owns one request ring per bootstrapped client endpoint.
-// Clients RDMA-write framed commands (layout.hpp) into their ring slots;
+// Clients RDMA-write framed commands (ucr/frame.hpp) into their ring slots;
 // a single dedicated poll loop sweeps every ring, executes verified
 // frames directly against the ItemStore, and RDMA-writes the framed
 // response into the client's response arena — one doorbell per ring
@@ -30,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "rfp/layout.hpp"
 #include "simnet/scheduler.hpp"
+#include "ucr/bootstrap.hpp"
 #include "ucr/runtime.hpp"
 
 namespace rmc::rfp {
@@ -94,7 +95,9 @@ class RingServer {
     std::vector<std::uint32_t> expected_seq;  ///< per-slot epoch, starts 1
   };
 
-  void on_bootstrap(ucr::Endpoint& ep, const BootstrapRequest& req);
+  /// Build (or rebuild) `ep`'s ring for `req`; the reply descriptor is
+  /// zeroed when the proposal is unusable.
+  RingDescriptor on_bootstrap(ucr::Endpoint& ep, const RingProposal& req);
   void ensure_polling();
   sim::Task<> poll_loop();
   /// Execute one verified request frame and seal the response frame into

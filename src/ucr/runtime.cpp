@@ -80,6 +80,18 @@ CounterRef Runtime::export_counter(sim::Counter& counter) {
   return CounterRef{id};
 }
 
+void Runtime::unexport_counter(CounterRef ref) {
+  auto it = exported_counters_.find(ref.id);
+  if (it == exported_counters_.end()) return;
+  const sim::Counter* counter = it->second;
+  exported_counters_.erase(it);
+  const auto live = deferred_fires_.begin() + static_cast<std::ptrdiff_t>(deferred_fire_count_);
+  const auto kept = std::remove_if(deferred_fires_.begin(), live, [&](const DeferredFire& f) {
+    return f.counter == counter;
+  });
+  deferred_fire_count_ = static_cast<std::size_t>(kept - deferred_fires_.begin());
+}
+
 void Runtime::register_region(std::span<std::byte> memory) {
   (void)find_or_register(memory);
 }

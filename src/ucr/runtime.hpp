@@ -87,6 +87,9 @@ class Runtime {
   }
   /// Make `counter` nameable by remote peers (for target_counter fields).
   CounterRef export_counter(sim::Counter& counter);
+  /// Forget an exported counter (and any fire of it deferred to the end
+  /// of the current CQ drain): messages that still name it fire nothing.
+  void unexport_counter(CounterRef ref);
 
   // ------------------------------------------------------------ handlers
   void register_handler(std::uint16_t msg_id, AmHandler handler) {

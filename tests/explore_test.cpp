@@ -18,9 +18,9 @@
 #include "core/fleetbed.hpp"
 #include "core/workload.hpp"
 #include "onesided/layout.hpp"
-#include "rfp/layout.hpp"
 #include "simnet/explore.hpp"
 #include "simnet/scheduler.hpp"
+#include "ucr/frame.hpp"
 
 namespace rmc {
 namespace {
@@ -154,9 +154,9 @@ struct RfpModel {
 
   void stage(std::uint32_t seq, std::byte tag) {
     staged = {};
-    auto body = rfp::frame_body(std::span<std::byte>(staged));
+    auto body = ucr::frame_body(std::span<std::byte>(staged));
     std::fill(body.begin(), body.begin() + kBodyLen, tag);
-    rfp::seal_frame(std::span<std::byte>(staged), seq, kBodyLen);
+    ucr::seal_frame(std::span<std::byte>(staged), seq, kBodyLen);
   }
   void copy_first_half(std::uint32_t i) {
     std::memcpy(ring[i].data(), staged.data(), kSlotSize / 2);
@@ -182,8 +182,8 @@ struct RfpModel {
   void sweep() {
     for (std::uint32_t i = 0; i < 2; ++i) {
       std::span<const std::byte> body;
-      switch (rfp::read_frame(slot(i), expected_seq[i], body)) {
-        case rfp::FrameState::ready: {
+      switch (ucr::read_frame(slot(i), expected_seq[i], body)) {
+        case ucr::FrameState::ready: {
           // Execute: the body must be exactly what some seal produced.
           if (body.size() != kBodyLen ||
               !std::all_of(body.begin(), body.end(),
@@ -200,10 +200,10 @@ struct RfpModel {
           }
           break;
         }
-        case rfp::FrameState::torn:
+        case ucr::FrameState::torn:
           ++torn_seen;  // a write still landing; never executed
           break;
-        case rfp::FrameState::empty:
+        case ucr::FrameState::empty:
           break;
       }
     }
@@ -302,19 +302,20 @@ TEST(ExploreTest, RfpSmallModelHoldsOnEveryInterleaving) {
 
 // ------------------------------------------- one-sided index small model
 //
-// One bucket entry + one arena record slot, the real BucketEntry /
-// RecordHeader framing. The writer republishes the record twice (retract,
-// two racing record memcpys, publish); the reader runs three two-step
-// snapshot reads (entry, then record — separate RDMA reads in the real
-// protocol). A read that passes every verification step must return a
-// value byte-exact for its version; torn observations must verify false.
+// One bucket entry + one arena record slot, the real BucketEntry and
+// record frame codec (ucr::seal_frame, onesided::open_record). The writer
+// republishes the record twice (retract, two racing record memcpys,
+// publish); the reader runs three two-step snapshot reads (entry, then
+// record — separate RDMA reads in the real protocol). A read that passes
+// every verification step must return a value byte-exact for its version;
+// torn observations must verify false.
 
 struct OnesidedModel {
   static constexpr std::size_t kValueLen = 24;
   static constexpr std::uint32_t kHash = 0x5eed;
 
   explicit OnesidedModel(sim::Scheduler& s) : sched(s) {
-    record.resize(onesided::RecordHeader::framed_size(1, kValueLen));
+    record.resize(onesided::record_size(1, kValueLen));
     staged.resize(record.size());
   }
 
@@ -332,18 +333,14 @@ struct OnesidedModel {
   }
 
   void stage_record(std::uint32_t version) {
-    onesided::RecordHeader hdr;
-    hdr.version_front = version;
-    hdr.key_len = 1;
-    hdr.value_len = kValueLen;
-    std::vector<std::byte> value(kValueLen, value_byte(version));
-    hdr.checksum = hdr.expected_checksum("k", value);
+    const onesided::RecordMeta meta{.key_len = 1, .value_len = kValueLen};
     std::memset(staged.data(), 0, staged.size());
-    std::memcpy(staged.data(), &hdr, sizeof(hdr));
-    staged[sizeof(hdr)] = std::byte{'k'};
-    std::memcpy(staged.data() + sizeof(hdr) + 1, value.data(), kValueLen);
-    std::memcpy(staged.data() + sizeof(hdr) + 1 + kValueLen, &version,
-                sizeof(version));
+    const auto body = ucr::frame_body(staged);
+    std::memcpy(body.data(), &meta, sizeof(meta));
+    body[sizeof(meta)] = std::byte{'k'};
+    std::memset(body.data() + sizeof(meta) + 1, static_cast<int>(value_byte(version)),
+                kValueLen);
+    ucr::seal_frame(staged, version, static_cast<std::uint32_t>(body.size()));
   }
 
   // Writer steps for generation g (stable version 2*g).
@@ -401,21 +398,14 @@ struct OnesidedModel {
         e.record_len != snap.size()) {
       return reject();
     }
-    onesided::RecordHeader hdr;
-    std::memcpy(&hdr, snap.data(), sizeof(hdr));
-    if (hdr.version_front != e.version || hdr.key_len != 1 ||
-        hdr.value_len != kValueLen) {
+    onesided::RecordView rec;
+    if (!onesided::open_record(snap, e.version, rec) || rec.key != "k" ||
+        rec.meta.value_len != kValueLen) {
       return reject();
     }
-    std::uint32_t back = 0;
-    std::memcpy(&back, snap.data() + snap.size() - sizeof(back), sizeof(back));
-    if (back != e.version) return reject();
-    if (snap[sizeof(hdr)] != std::byte{'k'}) return reject();
-    const auto value = snap.subspan(sizeof(hdr) + 1, kValueLen);
-    if (hdr.checksum != hdr.expected_checksum("k", value)) return reject();
     // Verified: the value must be byte-exact for this version.
     ++verified_reads;
-    if (!std::all_of(value.begin(), value.end(),
+    if (!std::all_of(rec.value.begin(), rec.value.end(),
                      [&](std::byte b) { return b == value_byte(e.version); })) {
       bad_value = true;
     }

@@ -18,6 +18,7 @@
 #include "memcached/server.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/publisher.hpp"
+#include "onesided/remote_getter.hpp"
 #include "simnet/faults.hpp"
 #include "simnet/netparams.hpp"
 #include "ucr/runtime.hpp"
@@ -296,6 +297,40 @@ TEST(OneSided, NeverServesTornValuesUnderWritersAndLinkLoss) {
   EXPECT_GT(metric("mc.oneside.reads"), 0u);
   // The writer churned through every generation while we read.
   EXPECT_TRUE(writer_done);
+}
+
+// ------------------------------------------------- bootstrap stragglers ----
+
+TEST(OneSided, LateBootstrapReplyIsDroppedAndRebootstrapIsSafe) {
+  OneSidedWorld w;
+  onesided::RemoteGetter getter(w.reader_ucr, 1_s);
+
+  w.drive([](OneSidedWorld& wk, onesided::RemoteGetter& g) -> Task<> {
+    EXPECT_TRUE((co_await wk.writer->connect_all()).ok());
+    EXPECT_TRUE((co_await wk.writer->set("late", bytes_view("straggler"), 3)).ok());
+    auto conn = co_await wk.reader_ucr.connect(wk.server_ucr.addr(), 11211);
+    EXPECT_TRUE(conn.ok());
+    if (!conn.ok()) co_return;
+    ucr::Endpoint& ep = **conn;
+
+    // Each reply needs 100 us to come back; each call gives up after 20.
+    wk.fabric.faults().set_link_delay(1, 0, 50_us);
+    EXPECT_EQ((co_await g.bootstrap(ep, 20_us)).error(), Errc::timed_out);
+    EXPECT_EQ((co_await g.bootstrap(ep, 20_us)).error(), Errc::timed_out);
+    co_await wk.sched.delay(1_ms);  // both stragglers land here
+    EXPECT_FALSE(g.ready());
+
+    wk.fabric.faults().set_link_delay(1, 0, 0);
+    EXPECT_TRUE((co_await g.bootstrap(ep)).ok());
+    EXPECT_TRUE(g.ready());
+    auto hit = co_await g.try_get(ep, "late");
+    EXPECT_TRUE(hit.ok());
+    if (!hit.ok()) co_return;
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(hit->value.data()),
+                          hit->value.size()),
+              "straggler");
+    EXPECT_EQ(hit->flags, 3u);
+  }(w, getter));
 }
 
 }  // namespace

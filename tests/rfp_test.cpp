@@ -23,6 +23,7 @@
 #include "rfp/ring_server.hpp"
 #include "simnet/faults.hpp"
 #include "simnet/netparams.hpp"
+#include "ucr/frame.hpp"
 #include "ucr/runtime.hpp"
 
 namespace rmc {
@@ -46,45 +47,32 @@ TEST(RfpFrame, SealReadRoundTripEpochsAndTearing) {
   std::span<const std::byte> body;
 
   // A zeroed slot is empty for a consumer at epoch 1 (seq 0 != 1).
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::empty);
+  EXPECT_EQ(ucr::read_frame(slot, 1, body), ucr::FrameState::empty);
 
-  std::span<std::byte> payload = rfp::frame_body(slot);
+  std::span<std::byte> payload = ucr::frame_body(slot);
   for (int i = 0; i < 32; ++i) payload[i] = static_cast<std::byte>(i);
-  rfp::seal_frame(slot, 1, 32);
+  ucr::seal_frame(slot, 1, 32);
 
-  ASSERT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::ready);
+  ASSERT_EQ(ucr::read_frame(slot, 1, body), ucr::FrameState::ready);
   EXPECT_EQ(body.size(), 32u);
   EXPECT_EQ(body.data(), payload.data());  // aliases the slot, no copy
 
   // Epoch advance makes the same bytes invisible — reuse needs no clear.
-  EXPECT_EQ(rfp::read_frame(slot, 2, body), rfp::FrameState::empty);
+  EXPECT_EQ(ucr::read_frame(slot, 2, body), ucr::FrameState::empty);
 
   // A body byte flipped while carrying the expected seq = torn, not ready.
   payload[5] ^= std::byte{0xff};
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::torn);
+  EXPECT_EQ(ucr::read_frame(slot, 1, body), ucr::FrameState::torn);
   payload[5] ^= std::byte{0xff};
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::ready);
+  EXPECT_EQ(ucr::read_frame(slot, 1, body), ucr::FrameState::ready);
 
   // A missing tail (header landed, tail not yet) = torn as well.
   const std::uint32_t zero = 0;
-  std::memcpy(slot.data() + rfp::FrameHeader::kSize + 32, &zero, sizeof(zero));
-  EXPECT_EQ(rfp::read_frame(slot, 1, body), rfp::FrameState::torn);
+  std::memcpy(slot.data() + ucr::FrameHeader::kSize + 32, &zero, sizeof(zero));
+  EXPECT_EQ(ucr::read_frame(slot, 1, body), ucr::FrameState::torn);
 }
 
 TEST(RfpFrame, BootstrapStructsRoundTripAndValidity) {
-  rfp::BootstrapRequest req;
-  req.cookie = 0xabcdef;
-  req.reply_counter = 42;
-  req.response_ring = {0x1000, 7, 4096};
-  req.slot_count = 16;
-  req.slot_size = 2048;
-  std::byte buf[rfp::BootstrapRequest::kSize];
-  req.encode(buf);
-  const auto back = rfp::BootstrapRequest::decode(buf);
-  EXPECT_EQ(back.cookie, req.cookie);
-  EXPECT_EQ(back.response_ring.addr, req.response_ring.addr);
-  EXPECT_EQ(back.slot_count, 16u);
-
   rfp::RingDescriptor d;
   EXPECT_FALSE(d.valid());  // the zeroed descriptor = "stay on RPC"
   d.slot_count = 4;
@@ -210,10 +198,10 @@ struct ChannelWorld {
 /// are consistent but one body byte is flipped after checksumming, so any
 /// consumer expecting `seq` reads torn until a genuine frame lands.
 void forge_torn_frame(std::span<std::byte> slot, std::uint32_t seq) {
-  std::span<std::byte> body = rfp::frame_body(slot);
+  std::span<std::byte> body = ucr::frame_body(slot);
   const std::uint32_t body_len = 24;
   for (std::uint32_t i = 0; i < body_len; ++i) body[i] = static_cast<std::byte>(0x5a);
-  rfp::seal_frame(slot, seq, body_len);
+  ucr::seal_frame(slot, seq, body_len);
   body[3] ^= std::byte{0xff};
 }
 
@@ -600,6 +588,35 @@ TEST(Rfp, NeverServesTornValuesUnderLinkLoss) {
 
   EXPECT_EQ(torn, 0);
   EXPECT_GT(hits, 0);
+}
+
+// ------------------------------------------------- bootstrap stragglers ----
+
+TEST(Rfp, LateBootstrapRepliesWakeNothing) {
+  ChannelWorld w;
+
+  w.drive([](ChannelWorld& wk) -> Task<> {
+    auto conn = co_await wk.client_ucr.connect(wk.server_ucr.addr(), 11211);
+    EXPECT_TRUE(conn.ok());
+    if (!conn.ok()) co_return;
+    wk.ep = *conn;
+
+    // Each reply needs 100 us to come back; each call gives up after 20.
+    wk.fabric.faults().set_link_delay(1, 0, 50_us);
+    EXPECT_EQ((co_await wk.channel->bootstrap(*wk.ep, 20_us)).error(), Errc::timed_out);
+    EXPECT_EQ((co_await wk.channel->bootstrap(*wk.ep, 20_us)).error(), Errc::timed_out);
+    co_await wk.sched.delay(1_ms);  // both stragglers land here
+    EXPECT_FALSE(wk.channel->ready());
+
+    wk.fabric.faults().set_link_delay(1, 0, 0);
+    EXPECT_TRUE((co_await wk.channel->bootstrap(*wk.ep)).ok());
+    EXPECT_TRUE(wk.channel->ready());
+    auto stored = co_await wk.raw_set("late", "straggler");
+    EXPECT_TRUE(stored.ok());
+    if (!stored.ok()) co_return;
+    EXPECT_EQ(stored->header.status, ucrp::RStatus::stored);
+    wk.channel->release(stored->slot);
+  }(w));
 }
 
 // --------------------------------------------------- park / wake cycle ----

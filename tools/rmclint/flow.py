@@ -26,14 +26,15 @@ coro-lifetime
   after the enclosing frame is gone.
 
 seqlock-discipline
-  The one-sided index (onesided/layout.hpp) and the RFP ring frames
-  (rfp/layout.hpp) are seqlock protocols: field write ORDER is the
-  correctness argument. Every mutation of a guarded field (seq,
-  seq_back, checksum, version pairs, index-entry fields, the server's
-  expected_seq epochs) must go through the blessed helpers that encode
-  the protocol; a direct write anywhere else is a finding. The pass is
-  scoped to files that can see the guarded types (src/rfp/,
-  src/onesided/, or anything including their layout headers).
+  The ucr frame codec (ucr/frame.hpp), the one-sided index
+  (onesided/layout.hpp) and the RFP rings (rfp/layout.hpp) are seqlock
+  protocols: field write ORDER is the correctness argument. Every
+  mutation of a guarded field (seq, seq_back, checksum, versions,
+  index-entry fields, the server's expected_seq epochs) must go through
+  the blessed helpers that encode the protocol; a direct write anywhere
+  else is a finding. The pass is scoped to files that can see the
+  guarded types (src/ucr/frame.hpp, src/rfp/, src/onesided/, or anything
+  including one of those headers).
 """
 
 from __future__ import annotations
@@ -348,9 +349,8 @@ def check_coro_lifetime(project: Project) -> list[Finding]:
 
 # Functions allowed to mutate seqlock-guarded state: they ARE the protocol.
 BLESSED_WRITERS = {
-    "seal_frame",     # rfp/layout.hpp: header + checksum + tail stamp
+    "seal_frame",     # ucr/frame.hpp: header + checksum + tail stamp
     "seal",           # onesided BucketEntry::seal
-    "seal_response",  # RingServer response framing (calls seal_frame)
     "release",        # Channel slot epoch close
     "release_slot",   # RingServer request epoch advance
     "reclaim_lost",   # Channel lost-slot epoch close
@@ -374,13 +374,15 @@ _EXPECTED_SEQ_RE = re.compile(
 _MEMCPY_GUARDED_RE = re.compile(
     r"\bmemcpy\s*\(\s*(?:\w+(?:\.|->))*(?:entry_at|record_at)\s*\("
 )
-_LAYOUT_INCLUDE_RE = re.compile(r'#\s*include\s*"(?:rfp|onesided)/layout\.hpp"')
+_GUARDED_INCLUDE_RE = re.compile(
+    r'#\s*include\s*"(?:(?:rfp|onesided)/layout|ucr/frame)\.hpp"'
+)
 
 
 def _sees_guarded_types(sf: SourceFile) -> bool:
-    if sf.rel.startswith(("src/rfp/", "src/onesided/")):
+    if sf.rel == "src/ucr/frame.hpp" or sf.rel.startswith(("src/rfp/", "src/onesided/")):
         return True
-    return bool(_LAYOUT_INCLUDE_RE.search(sf.text))
+    return bool(_GUARDED_INCLUDE_RE.search(sf.text))
 
 
 def check_seqlock_discipline(project: Project) -> list[Finding]:
