@@ -80,7 +80,7 @@ FleetBed::FleetBed(FleetBedConfig config) : config_(config) {
     servers_.back()->attach_ucr_frontend(*shard_ucrs_.back());
     if (config_.client.mode == mc::ClientBehavior::Mode::rfp) {
       shard_rings_.push_back(std::make_unique<rfp::RingServer>(
-          *shard_ucrs_.back(), *shard_hosts_.back(), servers_.back()->store()));
+          *shard_ucrs_.back(), *shard_hosts_.back(), *servers_.back()));
     }
   }
 

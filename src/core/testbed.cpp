@@ -175,8 +175,8 @@ TestBed::TestBed(TestBedConfig config) : config_(config) {
                                                            server_->store());
         break;
       case mc::ClientBehavior::Mode::rfp:
-        ring_server_ = std::make_unique<rfp::RingServer>(*server_ucr_, *server_host_,
-                                                         server_->store());
+        ring_server_ =
+            std::make_unique<rfp::RingServer>(*server_ucr_, *server_host_, *server_);
         break;
       case mc::ClientBehavior::Mode::rpc:
         break;

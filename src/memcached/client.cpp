@@ -100,6 +100,16 @@ const LatencySpans& mget_spans() {
   return s;
 }
 
+/// Record one op's adjacent stage stamps: build [t0, t1), wait [t1, t2),
+/// complete [t2, t3).
+void record_spans(const LatencySpans& spans, sim::Time t0, sim::Time t1, sim::Time t2,
+                  sim::Time t3) {
+  spans.build->record(t1 - t0);
+  spans.wait->record(t2 - t1);
+  spans.complete->record(t3 - t2);
+  spans.total->record(t3 - t0);
+}
+
 Status status_from(ucrp::RStatus status) {
   switch (status) {
     case ucrp::RStatus::ok:
@@ -116,6 +126,13 @@ Status status_from(ucrp::RStatus status) {
     case ucrp::RStatus::server_error: return Errc::no_resources;
   }
   return Errc::protocol_error;
+}
+
+/// The outcome of a UCR op with no value to return: its transport error,
+/// else the mapped reply status.
+Status status_from(const Result<ucrp::ResponseHeader>& reply) {
+  if (!reply.ok()) return reply.error();
+  return status_from(reply->status);
 }
 
 /// Simulated client CPU for copying `bytes` value bytes (the copy-charge
@@ -142,6 +159,36 @@ void fill_slot(MgetSlot& slot, std::uint32_t flags, std::uint64_t cas,
   slot.value = land(bytes, slot.dest);
 }
 
+/// Scatter one multiget reply chunk into `slots`: `block` holds the
+/// MgetChunkHeader and its records, `values` the hit values in record
+/// order, and hits land by fill_slot. The RPC chunks and the single RFP
+/// chunk are both read here. Returns the chunk header, or nothing for a
+/// bare or malformed chunk.
+std::optional<ucrp::MgetChunkHeader> scatter_chunk(std::span<const std::byte> block,
+                                                   std::span<const std::byte> values,
+                                                   std::span<MgetSlot> slots) {
+  if (block.size() < ucrp::MgetChunkHeader::kSize) return std::nullopt;
+  const auto chunk = ucrp::MgetChunkHeader::decode(block.data());
+  const std::span<const std::byte> records = block.subspan(ucrp::MgetChunkHeader::kSize);
+  if (records.size() / ucrp::MgetRecord::kSize < chunk.record_count) return std::nullopt;
+  std::size_t off = 0;
+  for (std::uint32_t i = 0; i < chunk.record_count; ++i) {
+    const auto rec = ucrp::MgetRecord::decode(records.data() + i * ucrp::MgetRecord::kSize);
+    const std::size_t index = std::size_t{chunk.start_index} + i;
+    if (index >= slots.size()) return std::nullopt;
+    MgetSlot& slot = slots[index];
+    if (rec.status != ucrp::RStatus::value) {
+      slot.hit = false;
+      slot.value = {};
+      continue;
+    }
+    if (rec.value_len > values.size() - off) return std::nullopt;
+    fill_slot(slot, rec.flags, rec.cas, values.subspan(off, rec.value_len));
+    off += rec.value_len;
+  }
+  return chunk;
+}
+
 void clear_slots(std::span<MgetSlot> slots) {
   for (MgetSlot& slot : slots) {
     slot.hit = false;
@@ -163,6 +210,11 @@ Result<proto::Value> owned_result(std::string_view key, const Result<GetIntoResu
   if (!r.ok()) return r.error();
   return owned_value(key, r->flags, r->cas, r->value());
 }
+
+/// Default of UcrConn::call's `extra`. It is bound by reference, so an op
+/// that sets no request field (del, flush_all) keeps no header temporary
+/// in its coroutine frame.
+constexpr ucrp::RequestHeader kNoExtra{};
 
 /// One recv chunk per socket connection, reused by every round trip.
 constexpr std::size_t kRecvChunk = 16 * 1024;
@@ -614,8 +666,8 @@ class UcrConn final : public ServerConn {
       if (!alive()) co_return Errc::disconnected;
     }
     if (rfp_ && rfp_->ready()) {
-      auto hit = co_await rfp_try(with_cas ? ucrp::Op::gets : ucrp::Op::get,
-                                  key_bytes(key), {}, {});
+      auto hit = co_await rfp_->execute(*ep_, {.op = with_cas ? ucrp::Op::gets : ucrp::Op::get},
+                                        key_bytes(key), {}, behavior_.op_timeout);
       if (hit.ok()) {
         const ucrp::ResponseHeader resp = hit->header;
         if (resp.status == ucrp::RStatus::value) {
@@ -658,12 +710,7 @@ class UcrConn final : public ServerConn {
       co_await host_->cpu().consume(copy_cost(behavior_, pending->value_len));
     }
     maybe_reset_arena();
-    const sim::Time t3 = sched_->now();
-    const LatencySpans& spans = get_spans();
-    spans.build->record(t1 - t0);
-    spans.wait->record(t2 - t1);
-    spans.complete->record(t3 - t2);
-    spans.total->record(t3 - t0);
+    record_spans(get_spans(), t0, t1, t2, sched_->now());
     co_return GetIntoResult{pending->value_len, pending->response.flags, pending->response.cas,
                             pending->dest.data()};
   }
@@ -710,57 +757,32 @@ class UcrConn final : public ServerConn {
         std::byte packed[ucrp::kMaxMgetKeyBlock];
         std::size_t off = 0;
         for (const auto& key : keys) off += ucrp::pack_mget_key(packed + off, key);
-        ucrp::RequestHeader header;
-        header.delta = keys.size();
-        auto reply = co_await rfp_try(
-            ucrp::Op::mget, std::span<const std::byte>(packed, block), {}, header);
+        auto reply = co_await rfp_->execute(
+            *ep_, {.op = ucrp::Op::mget, .delta = keys.size()},
+            std::span<const std::byte>(packed, block), {}, behavior_.op_timeout);
         if (reply.ok()) {
-          bool parsed = false;
-          std::uint64_t copied = 0;
+          // One chunk answers every key, its values after its records. The
+          // slot dies at release(), so the values move to the arena first
+          // and then scatter like an RPC chunk's.
           const std::span<const std::byte> body = reply->body;
+          std::optional<ucrp::MgetChunkHeader> chunk;
+          std::size_t copied = 0;
           if (reply->header.status == ucrp::RStatus::value &&
               body.size() >= ucrp::MgetChunkHeader::kSize) {
-            const auto chunk = ucrp::MgetChunkHeader::decode(body.data());
             const std::size_t values_at =
                 ucrp::MgetChunkHeader::kSize +
-                static_cast<std::size_t>(chunk.record_count) * ucrp::MgetRecord::kSize;
-            if (chunk.total_chunks == 1 && chunk.start_index == 0 &&
-                chunk.record_count == keys.size() && values_at <= body.size()) {
-              parsed = true;
-              std::size_t voff = values_at;
-              for (std::size_t i = 0; i < keys.size(); ++i) {
-                const auto rec = ucrp::MgetRecord::decode(
-                    body.data() + ucrp::MgetChunkHeader::kSize +
-                    i * ucrp::MgetRecord::kSize);
-                MgetSlot& slot = slots[i];
-                if (rec.status != ucrp::RStatus::value) {
-                  slot.hit = false;
-                  slot.value = {};
-                  continue;
-                }
-                if (voff + rec.value_len > body.size()) {
-                  parsed = false;  // malformed chunk: let RPC redo it all
-                  break;
-                }
-                slot.hit = true;
-                slot.flags = rec.flags;
-                slot.cas = rec.cas;
-                slot.value_len = rec.value_len;
-                // The body span dies at release(): land the bytes in the
-                // caller's buffer or the arena so the MgetSlot contract
-                // (valid until the next op) holds.
-                std::span<std::byte> to = rec.value_len <= slot.dest.size()
-                                              ? slot.dest.first(rec.value_len)
-                                              : arena_alloc(rec.value_len);
-                std::memcpy(to.data(), body.data() + voff, rec.value_len);
-                slot.value = to;
-                voff += rec.value_len;
-                copied += rec.value_len;
-              }
+                std::size_t{ucrp::MgetChunkHeader::decode(body.data()).record_count} *
+                    ucrp::MgetRecord::kSize;
+            if (values_at <= body.size()) {
+              const std::span<std::byte> values = arena_alloc(body.size() - values_at);
+              std::memcpy(values.data(), body.data() + values_at, values.size());
+              copied = values.size();
+              chunk = scatter_chunk(body.first(values_at), values, slots);
             }
           }
           rfp_->release(reply->slot);
-          if (parsed) {
+          if (chunk && chunk->total_chunks == 1 && chunk->start_index == 0 &&
+              chunk->record_count == keys.size()) {
             co_await host_->cpu().consume(copy_cost(behavior_, copied));
             co_return Status{};
           }
@@ -837,74 +859,25 @@ class UcrConn final : public ServerConn {
       if (slots[i].hit) copied += slots[i].value.size();
     }
     co_await host_->cpu().consume(copy_cost(behavior_, copied));
-    const sim::Time t3 = sched_->now();
-    const LatencySpans& spans = mget_spans();
-    spans.build->record(t1 - t0);
-    spans.wait->record(t2 - t1);
-    spans.complete->record(t3 - t2);
-    spans.total->record(t3 - t0);
+    record_spans(mget_spans(), t0, t1, t2, sched_->now());
     co_return Status{};
   }
 
   sim::Task<Status> store(SetMode mode, std::string_view key,
                           std::span<const std::byte> value, std::uint32_t flags,
                           std::uint32_t exptime, std::uint64_t cas) override {
-    if (!alive()) co_return Errc::disconnected;
-    const sim::Time t0 = sched_->now();
-    co_await host_->cpu().consume(behavior_.format_ns);
-    ucrp::RequestHeader extra;
-    extra.flags = flags;
-    extra.exptime = exptime;
-    extra.cas = cas;
-    if (rfp_ && rfp_->ready()) {
-      auto done = co_await rfp_try(storage_op(mode), key_bytes(key), value, extra);
-      if (done.ok()) {
-        const Status st = status_from(done->header.status);
-        rfp_->release(done->slot);
-        co_return st;
-      }
-      if (!alive()) co_return Errc::disconnected;
-    }
-    auto issued = issue(storage_op(mode), key, value, extra);
-    if (!issued.ok()) co_return issued.error();
-    const sim::Time t1 = sched_->now();
-    sim::Time t2 = t1;
-    auto resp = co_await finish(*issued, &t2);
-    if (!resp.ok()) co_return resp.error();
-    const sim::Time t3 = sched_->now();
-    const LatencySpans& spans = set_spans();
-    spans.build->record(t1 - t0);
-    spans.wait->record(t2 - t1);
-    spans.complete->record(t3 - t2);
-    spans.total->record(t3 - t0);
-    co_return status_from(resp->status);
+    co_return status_from(co_await call(storage_op(mode), key, value,
+                                        {.flags = flags, .exptime = exptime, .cas = cas}));
   }
 
   sim::Task<Status> del(std::string_view key) override {
-    co_return co_await simple_op(ucrp::Op::del, key, {});
+    co_return status_from(co_await call(ucrp::Op::del, key));
   }
 
   sim::Task<Result<std::uint64_t>> arith(std::string_view key, std::uint64_t delta,
                                          bool decrement) override {
-    if (!alive()) co_return Errc::disconnected;
-    co_await host_->cpu().consume(behavior_.format_ns);
-    ucrp::RequestHeader extra;
-    extra.delta = delta;
-    if (rfp_ && rfp_->ready()) {
-      auto done = co_await rfp_try(decrement ? ucrp::Op::decr : ucrp::Op::incr,
-                                   key_bytes(key), {}, extra);
-      if (done.ok()) {
-        const ucrp::ResponseHeader resp = done->header;
-        rfp_->release(done->slot);
-        if (resp.status == ucrp::RStatus::number) co_return resp.number;
-        const Status st = status_from(resp.status);
-        co_return st.ok() ? Errc::protocol_error : st.error();
-      }
-      if (!alive()) co_return Errc::disconnected;
-    }
-    auto issued = issue(decrement ? ucrp::Op::decr : ucrp::Op::incr, key, {}, extra);
-    if (!issued.ok()) co_return issued.error();
-    auto resp = co_await finish(*issued);
+    auto resp = co_await call(decrement ? ucrp::Op::decr : ucrp::Op::incr, key, {},
+                              {.delta = delta});
     if (!resp.ok()) co_return resp.error();
     if (resp->status == ucrp::RStatus::number) co_return resp->number;
     const Status st = status_from(resp->status);
@@ -912,13 +885,11 @@ class UcrConn final : public ServerConn {
   }
 
   sim::Task<Status> touch(std::string_view key, std::uint32_t exptime) override {
-    ucrp::RequestHeader extra;
-    extra.exptime = exptime;
-    co_return co_await simple_op(ucrp::Op::touch, key, extra);
+    co_return status_from(co_await call(ucrp::Op::touch, key, {}, {.exptime = exptime}));
   }
 
   sim::Task<Status> flush_all() override {
-    co_return co_await simple_op(ucrp::Op::flush_all, "-", {});
+    co_return status_from(co_await call(ucrp::Op::flush_all, "-"));
   }
 
  private:
@@ -950,25 +921,36 @@ class UcrConn final : public ServerConn {
   /// dispatches through the endpoint's user_data.
   static void ensure_handler(ucr::Runtime& runtime);
 
-  /// One op through the RFP rings (caller checked rfp_ && rfp_->ready()).
-  /// An ok result is the server's definitive answer — the caller reads
-  /// header/body and must release(slot). Any error means "run this op
-  /// over classic RPC"; that includes RStatus::server_error replies (the
-  /// answer did not fit one response slot), which this helper converts to
-  /// an error after releasing the slot (DESIGN.md §16 fallback matrix).
-  sim::Task<Result<rfp::OpResult>> rfp_try(ucrp::Op op, std::span<const std::byte> head,
-                                           std::span<const std::byte> tail,
-                                           ucrp::RequestHeader extra) {
-    extra.op = op;
-    extra.key_len = static_cast<std::uint16_t>(head.size());
-    auto out = co_await rfp_->execute(*ep_, extra, head, tail, behavior_.op_timeout);
-    if (!out.ok()) co_return out.error();
-    if (out->header.status == ucrp::RStatus::server_error) {
-      rfp_->release(out->slot);
-      rfp_fallbacks_->inc();
-      co_return Errc::no_resources;
+  /// The rings→RPC ladder of every single-key op but GET: through the RFP
+  /// rings when they are up (flush_all stays RPC), else — and on any ring
+  /// fallback — as a classic RPC. A completed RPC storage op records the
+  /// set spans.
+  sim::Task<Result<ucrp::ResponseHeader>> call(ucrp::Op op, std::string_view key,
+                                               std::span<const std::byte> value = {},
+                                               const ucrp::RequestHeader& extra = kNoExtra) {
+    if (!alive()) co_return Errc::disconnected;
+    const sim::Time t0 = sched_->now();
+    co_await host_->cpu().consume(behavior_.format_ns);
+    if (rfp_ && rfp_->ready() && op != ucrp::Op::flush_all) {
+      ucrp::RequestHeader hdr = extra;
+      hdr.op = op;
+      auto done = co_await rfp_->execute(*ep_, hdr, key_bytes(key), value,
+                                         behavior_.op_timeout);
+      if (done.ok()) {
+        rfp_->release(done->slot);
+        co_return done->header;
+      }
+      if (!alive()) co_return Errc::disconnected;
     }
-    co_return *out;
+    auto issued = issue(op, key, value, extra);
+    if (!issued.ok()) co_return issued.error();
+    const sim::Time t1 = sched_->now();
+    auto pending = co_await await_reply(*issued);
+    const sim::Time t2 = sched_->now();
+    if (!pending.ok()) co_return pending.error();
+    maybe_reset_arena();
+    if (ucrp::is_storage(op)) record_spans(set_spans(), t0, t1, t2, sched_->now());
+    co_return pending->response;
   }
 
   static std::span<const std::byte> key_bytes(std::string_view key) {
@@ -1126,36 +1108,6 @@ class UcrConn final : public ServerConn {
     co_return pending;
   }
 
-  sim::Task<Result<ucrp::ResponseHeader>> finish(std::uint64_t req_id,
-                                                 sim::Time* wait_end = nullptr) {
-    auto pending = co_await await_reply(req_id);
-    if (wait_end != nullptr) *wait_end = sched_->now();
-    if (!pending.ok()) co_return pending.error();
-    maybe_reset_arena();
-    co_return pending->response;
-  }
-
-  sim::Task<Status> simple_op(ucrp::Op op, std::string_view key,
-                              const ucrp::RequestHeader& extra) {
-    if (!alive()) co_return Errc::disconnected;
-    co_await host_->cpu().consume(behavior_.format_ns);
-    if (rfp_ && rfp_->ready() && op != ucrp::Op::flush_all) {
-      // del/touch ride the rings; flush_all (and version) stay RPC-only.
-      auto done = co_await rfp_try(op, key_bytes(key), {}, extra);
-      if (done.ok()) {
-        const Status st = status_from(done->header.status);
-        rfp_->release(done->slot);
-        co_return st;
-      }
-      if (!alive()) co_return Errc::disconnected;
-    }
-    auto issued = issue(op, key, {}, extra);
-    if (!issued.ok()) co_return issued.error();
-    auto resp = co_await finish(*issued);
-    if (!resp.ok()) co_return resp.error();
-    co_return status_from(resp->status);
-  }
-
   // ---- response arrival (called from the shared runtime handler) ----
   std::span<std::byte> on_response_header(std::span<const std::byte> header,
                                           std::uint32_t data_len) {
@@ -1195,33 +1147,17 @@ class UcrConn final : public ServerConn {
   void on_mget_chunk(Pending& p, const ucrp::ResponseHeader& resp,
                      std::span<const std::byte> header, std::span<std::byte> data) {
     MgetPending& ctx = *p.mget;
-    if (header.size() < ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize) {
-      // Bare ResponseHeader: the server failed the whole sub-request.
+    const auto chunk =
+        scatter_chunk(header.subspan(ucrp::ResponseHeader::kSize), data, ctx.slots);
+    if (!chunk) {
+      // A bare ResponseHeader (the server failed the whole sub-request)
+      // or a malformed chunk.
       p.response = resp;
       ctx.error = true;
       p.done = true;
       return;
     }
-    const auto chunk =
-        ucrp::MgetChunkHeader::decode(header.data() + ucrp::ResponseHeader::kSize);
-    ctx.total_chunks = chunk.total_chunks;
-    const std::byte* rec_at =
-        header.data() + ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize;
-    std::size_t off = 0;
-    for (std::uint32_t i = 0; i < chunk.record_count; ++i) {
-      const auto rec = ucrp::MgetRecord::decode(rec_at + i * ucrp::MgetRecord::kSize);
-      const std::size_t index = chunk.start_index + i;
-      if (index >= ctx.slots.size()) break;  // malformed chunk; drop the tail
-      MgetSlot& slot = ctx.slots[index];
-      if (rec.status != ucrp::RStatus::value) {
-        slot.hit = false;
-        slot.value = {};
-        continue;
-      }
-      if (off + rec.value_len > data.size()) break;  // malformed chunk
-      fill_slot(slot, rec.flags, rec.cas, data.subspan(off, rec.value_len));
-      off += rec.value_len;
-    }
+    ctx.total_chunks = chunk->total_chunks;
     ++ctx.chunks_seen;
     if (ctx.chunks_seen >= ctx.total_chunks) p.done = true;
   }
@@ -1272,7 +1208,6 @@ class UcrConn final : public ServerConn {
   std::uint64_t down_handler_ = 0;
   std::unique_ptr<onesided::RemoteGetter> getter_;  ///< non-null iff Mode::onesided_get
   std::unique_ptr<rfp::Channel> rfp_;               ///< non-null iff Mode::rfp
-  obs::Counter* rfp_fallbacks_ = &obs::registry().counter("mc.rfp.fallbacks");
 
   SlotMap<Pending> pending_;
 

@@ -628,55 +628,61 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
            [this](ucr::Endpoint& ep, std::span<const std::byte> header,
                   std::uint32_t data_len) -> std::span<std::byte> {
              // SET-family values get their destination named here: the
-             // final slab location of the item (§V-B).
-             const auto req = ucrp::RequestHeader::decode(header.data());
-             if (!ucrp::is_storage(req.op) || data_len == 0) return {};
+             // final slab location of the item (§V-B). A request that fails
+             // the check names none; its completion answers client_error.
+             ucrp::RequestView req;
+             if (ucrp::parse_request(header, req) != ucrp::RequestCheck::ok ||
+                 !ucrp::is_storage(req.header.op) || data_len == 0) {
+               return {};
+             }
              advance_clock();
-             const std::string_view key{
-                 reinterpret_cast<const char*>(header.data() + ucrp::RequestHeader::kSize),
-                 req.key_len};
              auto* state = static_cast<UcrConnState*>(ep.user_data());
              if (state == nullptr) return {};  // connection already reaped
-             auto item = store_.allocate_item(key, data_len, req.flags, req.exptime);
+             auto item =
+                 store_.allocate_item(req.key, data_len, req.header.flags, req.header.exptime);
              if (!item.ok()) {
                // Remember the failure so the completion path can answer
                // with an error instead of the client timing out.
-               state->pending_sets[req.req_id] = nullptr;
+               state->pending_sets[req.header.req_id] = nullptr;
                return {};
              }
              register_new_slab_pages();
-             state->pending_sets[req.req_id] = *item;
+             state->pending_sets[req.header.req_id] = *item;
              return (*item)->value_mut();
            },
        .on_complete =
            [this](ucr::Endpoint& ep, std::span<const std::byte> header,
                   std::span<std::byte> data) {
              bytes_read_ += header.size() + data.size();
-             const auto req = ucrp::RequestHeader::decode(header.data());
+             ucrp::RequestView req;
+             switch (ucrp::parse_request(header, req)) {
+               case ucrp::RequestCheck::short_header:
+                 return;  // no req_id or reply counter: no reply can be addressed
+               case ucrp::RequestCheck::bad_key:
+                 ucr_reply(ep,
+                           {.status = ucrp::RStatus::client_error, .req_id = req.header.req_id},
+                           nullptr, req.header.reply_counter);
+                 return;
+               case ucrp::RequestCheck::ok:
+                 break;
+             }
              Work work;
              work.is_ucr = true;
              work.ep = &ep;
-             work.ucr_header = req;
-             if (req.op == ucrp::Op::mget) {
-               // Multiget: key_len is the packed key-block length. Copy it
-               // into the Work's inline carrier — the receive slot is
-               // reposted before the worker runs, so it must not alias.
-               const std::size_t block = std::min<std::size_t>(
-                   std::min<std::size_t>(req.key_len,
-                                         header.size() - ucrp::RequestHeader::kSize),
-                   work.mget_keys.size());
-               std::memcpy(work.mget_keys.data(),
-                           header.data() + ucrp::RequestHeader::kSize, block);
-               work.mget_keys_len = static_cast<std::uint16_t>(block);
-               work.mget_key_count = static_cast<std::uint32_t>(req.delta);
+             work.ucr_header = req.header;
+             if (req.header.op == ucrp::Op::mget) {
+               // Multiget: the key is the packed key block. Copy it into the
+               // Work's inline carrier — the receive slot is reposted
+               // before the worker runs, so it must not alias.
+               std::memcpy(work.mget_keys.data(), req.key.data(), req.key.size());
+               work.mget_keys_len = static_cast<std::uint16_t>(req.key.size());
+               work.mget_key_count = static_cast<std::uint32_t>(req.header.delta);
              } else {
-               work.set_key(std::string_view{
-                   reinterpret_cast<const char*>(header.data() + ucrp::RequestHeader::kSize),
-                   req.key_len});
+               work.set_key(req.key);
              }
              auto* state = static_cast<UcrConnState*>(ep.user_data());
              if (state == nullptr) return;  // connection already reaped
-             auto it = state->pending_sets.find(req.req_id);
+             auto it = state->pending_sets.find(req.header.req_id);
              if (it != state->pending_sets.end()) {
                work.prepared_item = it->second;
                work.alloc_failed = it->second == nullptr;
@@ -977,6 +983,86 @@ sim::Task<> Server::process_ucr_mget(Work& work, WorkerScratch& scratch) {
   co_return;
 }
 
+ucrp::ResponseHeader Server::execute_ucr(const ucrp::RequestHeader& req, std::string_view key,
+                                         std::span<const std::byte> value,
+                                         ItemHeader** pinned) {
+  ucrp::ResponseHeader resp;
+  resp.req_id = req.req_id;
+  switch (req.op) {
+    case ucrp::Op::get:
+    case ucrp::Op::gets:
+      *pinned = store_.get_pinned(key);
+      if (*pinned != nullptr) {
+        resp.status = ucrp::RStatus::value;
+        resp.flags = (*pinned)->flags;
+        resp.cas = (*pinned)->cas;
+      } else {
+        resp.status = ucrp::RStatus::not_found;
+      }
+      break;
+    case ucrp::Op::set:
+    case ucrp::Op::add:
+    case ucrp::Op::replace:
+    case ucrp::Op::append:
+    case ucrp::Op::prepend:
+    case ucrp::Op::cas: {
+      SetMode mode = SetMode::set;
+      switch (req.op) {
+        case ucrp::Op::add: mode = SetMode::add; break;
+        case ucrp::Op::replace: mode = SetMode::replace; break;
+        case ucrp::Op::append: mode = SetMode::append; break;
+        case ucrp::Op::prepend: mode = SetMode::prepend; break;
+        case ucrp::Op::cas: mode = SetMode::cas; break;
+        default: break;
+      }
+      auto stored = store_.store(mode, key, value, req.flags, req.exptime, req.cas);
+      if (stored.ok()) {
+        resp.status = ucrp::RStatus::stored;
+      } else {
+        switch (stored.error()) {
+          case Errc::not_stored: resp.status = ucrp::RStatus::not_stored; break;
+          case Errc::exists: resp.status = ucrp::RStatus::exists; break;
+          case Errc::not_found: resp.status = ucrp::RStatus::not_found; break;
+          default: resp.status = ucrp::RStatus::server_error; break;
+        }
+      }
+      break;
+    }
+    case ucrp::Op::del:
+      resp.status = store_.del(key) ? ucrp::RStatus::deleted : ucrp::RStatus::not_found;
+      break;
+    case ucrp::Op::incr:
+    case ucrp::Op::decr: {
+      auto result = store_.arith(key, req.delta, req.op == ucrp::Op::decr);
+      if (result.ok()) {
+        resp.status = ucrp::RStatus::number;
+        resp.number = *result;
+      } else if (result.error() == Errc::not_found) {
+        resp.status = ucrp::RStatus::not_found;
+      } else {
+        resp.status = ucrp::RStatus::client_error;
+      }
+      break;
+    }
+    case ucrp::Op::touch:
+      resp.status =
+          store_.touch(key, req.exptime) ? ucrp::RStatus::touched : ucrp::RStatus::not_found;
+      break;
+    case ucrp::Op::flush_all:
+      schedule_flush(static_cast<std::uint32_t>(req.delta));
+      resp.status = ucrp::RStatus::ok;
+      break;
+    case ucrp::Op::version:
+      resp.status = ucrp::RStatus::ok;
+      break;
+    default:
+      // mget runs its own batch path; any other byte names no op.
+      resp.status = ucrp::RStatus::client_error;
+      break;
+  }
+  return resp;
+}
+
 sim::Task<> Server::process_ucr(Work& work, WorkerScratch& scratch) {
   if (work.ucr_header.op == ucrp::Op::mget) {
     co_await process_ucr_mget(work, scratch);
@@ -993,98 +1079,22 @@ sim::Task<> Server::process_ucr(Work& work, WorkerScratch& scratch) {
 
   const ucrp::RequestHeader& req = work.ucr_header;
   ucrp::ResponseHeader resp;
-  resp.req_id = req.req_id;
   ItemHeader* pinned = nullptr;
-
   {
-  obs::ProfScope exec_prof{kProfExecute};
-  switch (req.op) {
-    case ucrp::Op::get:
-    case ucrp::Op::gets: {
-      pinned = store_.get_pinned(work.key());
-      if (pinned) {
-        resp.status = ucrp::RStatus::value;
-        resp.flags = pinned->flags;
-        resp.cas = pinned->cas;
-      } else {
-        resp.status = ucrp::RStatus::not_found;
-      }
-      break;
-    }
-    case ucrp::Op::set:
-    case ucrp::Op::add:
-    case ucrp::Op::replace:
-    case ucrp::Op::append:
-    case ucrp::Op::prepend:
-    case ucrp::Op::cas: {
-      if (work.alloc_failed) {
-        // The value never had a home (too large / out of memory).
-        resp.status = ucrp::RStatus::server_error;
-        break;
-      }
-      if (work.prepared_item && req.op == ucrp::Op::set) {
-        // Fast path: the value already sits in its slab chunk; link it.
-        store_.commit_item(work.prepared_item);
-        resp.status = ucrp::RStatus::stored;
-        break;
-      }
-      SetMode mode = SetMode::set;
-      switch (req.op) {
-        case ucrp::Op::add: mode = SetMode::add; break;
-        case ucrp::Op::replace: mode = SetMode::replace; break;
-        case ucrp::Op::append: mode = SetMode::append; break;
-        case ucrp::Op::prepend: mode = SetMode::prepend; break;
-        case ucrp::Op::cas: mode = SetMode::cas; break;
-        default: break;
-      }
+    obs::ProfScope exec_prof{kProfExecute};
+    if (work.alloc_failed) {
+      // The value never had a home (too large / out of memory).
+      resp = {.status = ucrp::RStatus::server_error, .req_id = req.req_id};
+    } else if (work.prepared_item != nullptr && req.op == ucrp::Op::set) {
+      // Fast path: the value already sits in its slab chunk; link it.
+      store_.commit_item(work.prepared_item);
+      resp = {.status = ucrp::RStatus::stored, .req_id = req.req_id};
+    } else {
       std::span<const std::byte> value{};
-      if (work.prepared_item) value = work.prepared_item->value();
-      auto stored = store_.store(mode, work.key(), value, req.flags, req.exptime, req.cas);
-      if (work.prepared_item) store_.abandon_item(work.prepared_item);
-      if (stored.ok()) {
-        resp.status = ucrp::RStatus::stored;
-      } else {
-        switch (stored.error()) {
-          case Errc::not_stored: resp.status = ucrp::RStatus::not_stored; break;
-          case Errc::exists: resp.status = ucrp::RStatus::exists; break;
-          case Errc::not_found: resp.status = ucrp::RStatus::not_found; break;
-          default: resp.status = ucrp::RStatus::server_error; break;
-        }
-      }
-      break;
+      if (work.prepared_item != nullptr) value = work.prepared_item->value();
+      resp = execute_ucr(req, work.key(), value, &pinned);
+      if (work.prepared_item != nullptr) store_.abandon_item(work.prepared_item);
     }
-    case ucrp::Op::del:
-      resp.status = store_.del(work.key()) ? ucrp::RStatus::deleted : ucrp::RStatus::not_found;
-      break;
-    case ucrp::Op::incr:
-    case ucrp::Op::decr: {
-      auto result = store_.arith(work.key(), req.delta, req.op == ucrp::Op::decr);
-      if (result.ok()) {
-        resp.status = ucrp::RStatus::number;
-        resp.number = *result;
-      } else if (result.error() == Errc::not_found) {
-        resp.status = ucrp::RStatus::not_found;
-      } else {
-        resp.status = ucrp::RStatus::client_error;
-      }
-      break;
-    }
-    case ucrp::Op::touch:
-      resp.status =
-          store_.touch(work.key(), req.exptime) ? ucrp::RStatus::touched : ucrp::RStatus::not_found;
-      break;
-    case ucrp::Op::flush_all:
-      schedule_flush(static_cast<std::uint32_t>(req.delta));
-      resp.status = ucrp::RStatus::ok;
-      break;
-    case ucrp::Op::version:
-      resp.status = ucrp::RStatus::ok;
-      break;
-    case ucrp::Op::mget:
-      // Handled by process_ucr_mget before this switch is reached.
-      resp.status = ucrp::RStatus::client_error;
-      break;
-  }
   }
 
   stage_execute_->record(sched_->now() - exec_start);

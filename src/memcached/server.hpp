@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,6 +84,16 @@ class Server {
   /// timer is cancel-safe: it no-ops if the server is destroyed first.
   /// Public for the protocol frontends and tests.
   void schedule_flush(std::uint32_t exptime_s);
+
+  /// Execute one single-key UCR op (every ucrp::Op but mget): the one
+  /// executor behind the AM worker path and the RFP ring server. A GET hit
+  /// pins its item into `*pinned`, and the caller releases it. An op byte
+  /// that names no single-key op is answered client_error.
+  ucrp::ResponseHeader execute_ucr(const ucrp::RequestHeader& req, std::string_view key,
+                                   std::span<const std::byte> value, ItemHeader** pinned);
+
+  /// Move the store's clock (whole seconds since start, from 1) to now.
+  void advance_clock();
 
  private:
   struct UcrConnState;
@@ -151,7 +162,6 @@ class Server {
   /// every hit, then a chunked scatter-gather reply built in `scratch`.
   sim::Task<> process_ucr_mget(Work& work, WorkerScratch& scratch);
   proto::Response execute(const proto::Request& request);
-  void advance_clock();
   void register_new_slab_pages();
 
   /// Send a UCR response; pins `item` (may be null) until the value has

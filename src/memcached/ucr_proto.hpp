@@ -11,7 +11,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string_view>
+
+#include "memcached/protocol.hpp"
 
 namespace rmc::mc::ucrp {
 
@@ -284,5 +287,42 @@ struct MgetRecord {
     return h;
   }
 };
+
+// --------------------------------------------------------- request check
+//
+// A request body — an AM header on the RPC path, a ring frame body on the
+// RFP path — is written by a remote peer. Both frontends split it with
+// parse_request before they trust any length in it.
+
+/// A request body split into its parts. The views alias the body.
+struct RequestView {
+  RequestHeader header{};
+  std::string_view key{};             ///< the key; for mget, the packed key block
+  std::span<const std::byte> rest{};  ///< the bytes after the key (an inline value)
+};
+
+enum class RequestCheck : std::uint8_t {
+  ok,
+  short_header,  ///< shorter than a RequestHeader: no req_id to answer
+  bad_key,       ///< header decoded, key_len not honoured: answer client_error
+};
+
+/// Split `body` into header, key and rest. The key_len bytes must follow
+/// the header, and a key is at most proto::Request::kMaxKeyLen bytes (an
+/// mget key block at most kMaxMgetKeyBlock). `out.header` is filled unless
+/// the body is a short_header.
+inline RequestCheck parse_request(std::span<const std::byte> body, RequestView& out) {
+  if (body.size() < RequestHeader::kSize) return RequestCheck::short_header;
+  out.header = RequestHeader::decode(body.data());
+  const std::span<const std::byte> tail = body.subspan(RequestHeader::kSize);
+  const std::size_t limit =
+      out.header.op == Op::mget ? kMaxMgetKeyBlock : proto::Request::kMaxKeyLen;
+  if (out.header.key_len > tail.size() || out.header.key_len > limit) {
+    return RequestCheck::bad_key;
+  }
+  out.key = {reinterpret_cast<const char*>(tail.data()), out.header.key_len};
+  out.rest = tail.subspan(out.header.key_len);
+  return RequestCheck::ok;
+}
 
 }  // namespace rmc::mc::ucrp

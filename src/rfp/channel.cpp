@@ -10,6 +10,16 @@ namespace rmc::rfp {
 
 namespace ucrp = mc::ucrp;
 
+namespace {
+
+/// Local response-poll interval (client CPU is idle-waiting anyway, so
+/// this only trades sim latency against poll events).
+constexpr sim::Time kPollNs = 200;
+/// CPU cost of framing a request into the staging slot.
+constexpr sim::Time kRequestBuildNs = 300;
+
+}  // namespace
+
 Channel::Channel(ucr::Runtime& runtime, sim::Host& host, ChannelConfig config)
     : runtime_(&runtime), host_(&host), config_(config),
       bootstrap_call_(runtime, kMsgRfpBootstrap, kMsgRfpBootstrapResp),
@@ -117,12 +127,12 @@ void Channel::release(std::uint32_t slot) {
   --busy_slots_;
 }
 
-sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
-                                             const ucrp::RequestHeader& hdr,
+sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep, ucrp::RequestHeader hdr,
                                              std::span<const std::byte> head,
                                              std::span<const std::byte> tail,
                                              sim::Time timeout) {
   ops_->inc();
+  hdr.key_len = static_cast<std::uint16_t>(head.size());
   if (!ready() || ep_ != &ep || ep.state() != ucr::EpState::ready) {
     fallbacks_->inc();
     co_return Errc::disconnected;
@@ -166,7 +176,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
   }
   last_traffic_ = sched.now();
 
-  co_await host_->cpu().consume(config_.request_build_ns);
+  co_await host_->cpu().consume(kRequestBuildNs);
   if (slots_epoch_ != epoch || !ready() || ep_ != &ep) {
     abandon(SlotState::free);
     co_return Errc::disconnected;
@@ -214,6 +224,12 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
         }
         OpResult out;
         out.header = ucrp::ResponseHeader::decode(resp_body.data());
+        if (out.header.status == ucrp::RStatus::server_error) {
+          // The answer did not fit one response slot: re-run over RPC.
+          release(slot);
+          fallbacks_->inc();
+          co_return Errc::no_resources;
+        }
         out.body = resp_body.subspan(ucrp::ResponseHeader::kSize);
         out.slot = slot;
         co_return out;
@@ -234,7 +250,7 @@ sim::Task<Result<OpResult>> Channel::execute(ucr::Endpoint& ep,
       abandon(SlotState::lost);
       co_return Errc::timed_out;
     }
-    co_await sched.delay(config_.poll_ns);
+    co_await sched.delay(kPollNs);
   }
 }
 

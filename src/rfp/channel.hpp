@@ -12,9 +12,10 @@
 //
 // The channel is deliberately non-authoritative about failure: every
 // non-ok execute() result (ring full, oversize body, endpoint trouble,
-// poll timeout, torn frame beyond the retry budget) means "run this op
-// over classic RPC". The caller keeps the RPC path wired and falls back
-// transparently, exactly like the one-sided GET ladder.
+// poll timeout, torn frame beyond the retry budget, a reply too large for
+// its slot) means "run this op over classic RPC". The caller keeps the RPC
+// path wired and falls back transparently, exactly like the one-sided GET
+// ladder.
 #pragma once
 
 #include <cstdint>
@@ -38,13 +39,8 @@ struct ChannelConfig {
   /// bounds one framed request/response — larger bodies fall back to RPC.
   std::uint32_t slot_count = 16;
   std::uint32_t slot_size = 2048;
-  /// Local response-poll interval (client CPU is idle-waiting anyway, so
-  /// this only trades sim latency against poll events).
-  sim::Time poll_ns = 200;
   /// Torn response observations tolerated per op before falling back.
   std::uint32_t max_torn_retries = 2;
-  /// CPU cost of framing a request into the staging slot.
-  sim::Time request_build_ns = 300;
 };
 
 /// A completed RFP op. `body` aliases the response arena slot: everything
@@ -73,11 +69,11 @@ class Channel {
 
   /// Run one op through the rings. The request body is laid out as
   /// `hdr | head | tail` (key + inline value for plain ops; the packed
-  /// key block as `head` for mget). Non-ok = use the RPC path; ok =
-  /// definitive server answer (the caller must still treat
-  /// RStatus::server_error as "reply did not fit — re-run over RPC") and
-  /// owns `slot` until release().
-  sim::Task<Result<OpResult>> execute(ucr::Endpoint& ep, const mc::ucrp::RequestHeader& hdr,
+  /// key block as `head` for mget), and hdr.key_len is set to head's size.
+  /// Non-ok = use the RPC path, including a server_error reply (the answer
+  /// did not fit one response slot). Ok = the server's definitive answer;
+  /// the caller owns `slot` until release().
+  sim::Task<Result<OpResult>> execute(ucr::Endpoint& ep, mc::ucrp::RequestHeader hdr,
                                       std::span<const std::byte> head,
                                       std::span<const std::byte> tail, sim::Time timeout);
 

@@ -17,6 +17,24 @@ const std::uint16_t kProfPoll =
 const std::uint16_t kProfExecute =
     obs::profiler().register_scope("prof.mc.rfp.execute", obs::ScopeKind::payload);
 
+/// Geometry ceilings: a client's proposed ring is clamped to these.
+constexpr std::uint32_t kMaxSlotCount = 64;
+constexpr std::uint32_t kMaxSlotSize = 8192;
+static_assert(ucr::body_capacity(kMaxSlotSize) >= ucrp::ResponseHeader::kSize);
+
+/// Adaptive poll interval: spin at the min while busy, back off x2 per
+/// empty sweep toward the max. The max is deliberately tight — pickup lag
+/// is bounded by it, and a closed-loop client would otherwise phase-lock
+/// against a coarse interval and eat it on every op; parking (not
+/// backoff) is what makes a truly idle ring free.
+constexpr sim::Time kPollMinNs = 200;
+constexpr sim::Time kPollMaxNs = 400;
+
+/// CPU costs: one sweep over the rings, and the decode of one verified
+/// frame. The op itself is billed the server's McCosts.
+constexpr sim::Time kPollSweepNs = 80;
+constexpr sim::Time kRequestNs = 250;
+
 std::span<std::byte> slot_span(std::vector<std::byte>& buf, std::uint32_t slot,
                                std::uint32_t slot_size) {
   return {buf.data() + static_cast<std::size_t>(slot) * slot_size, slot_size};
@@ -24,21 +42,17 @@ std::span<std::byte> slot_span(std::vector<std::byte>& buf, std::uint32_t slot,
 
 }  // namespace
 
-RingServer::RingServer(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& store,
+RingServer::RingServer(ucr::Runtime& runtime, sim::Host& host, mc::Server& server,
                        RingServerConfig config)
-    : runtime_(&runtime), host_(&host), store_(&store), config_(config),
+    : runtime_(&runtime), host_(&host), server_(&server), config_(config),
       bootstraps_(&obs::registry().counter("mc.rfp.bootstraps")),
       wakes_(&obs::registry().counter("mc.rfp.wakes")),
       torn_frames_(&obs::registry().counter("mc.rfp.torn_frames")),
       sweeps_(&obs::registry().counter("mc.rfp.poll.sweeps")),
       frames_(&obs::registry().counter("mc.rfp.poll.frames")),
       parks_(&obs::registry().counter("mc.rfp.poll.parks")) {
-  config_.max_slot_count = std::max(1u, config_.max_slot_count);
-  config_.max_slot_size = std::max<std::uint32_t>(
-      config_.max_slot_size,
-      static_cast<std::uint32_t>(ucr::framed_size(ucrp::ResponseHeader::kSize)));
-  ready_slots_.reserve(config_.max_slot_count);
-  ready_lens_.reserve(config_.max_slot_count);
+  ready_slots_.reserve(kMaxSlotCount);
+  ready_lens_.reserve(kMaxSlotCount);
 
   ucr::serve_bootstrap(
       *runtime_, kMsgRfpBootstrap, kMsgRfpBootstrapResp,
@@ -76,8 +90,8 @@ RingServer::~RingServer() { runtime_->remove_endpoint_handler(down_handler_id_);
 RingDescriptor RingServer::on_bootstrap(ucr::Endpoint& ep, const RingProposal& req) {
   RingDescriptor resp;
   const std::uint32_t slot_count =
-      std::min(std::max(1u, req.slot_count), config_.max_slot_count);
-  const std::uint32_t slot_size = std::min(req.slot_size, config_.max_slot_size);
+      std::min(std::max(1u, req.slot_count), kMaxSlotCount);
+  const std::uint32_t slot_size = std::min(req.slot_size, kMaxSlotSize);
   const std::uint64_t span_bytes =
       static_cast<std::uint64_t>(slot_count) * slot_size;
   // Geometry sanity: the response arena must cover the clamped ring and
@@ -135,7 +149,7 @@ void RingServer::release_slot(ClientRing& ring, std::uint32_t slot) {
 
 sim::Task<> RingServer::poll_loop() {
   sim::Scheduler& sched = runtime_->scheduler();
-  sim::Time interval = config_.poll_min_ns;
+  sim::Time interval = kPollMinNs;
   sim::Time idle_ns = 0;
   for (;;) {
     // Straight-line sweep bookkeeping: rings retired by the down/re-
@@ -150,7 +164,7 @@ sim::Task<> RingServer::poll_loop() {
       break;
     }
     sweeps_->inc();
-    co_await host_->cpu().consume(config_.poll_sweep_ns);
+    co_await host_->cpu().consume(kPollSweepNs);
 
     bool worked = false;
     // std::map iterators survive handler-driven insertions, and handlers
@@ -200,7 +214,6 @@ sim::Task<> RingServer::poll_loop() {
         obs::ProfScope prof{kProfPoll};
         runtime_->begin_send_batch();
         for (std::size_t i = 0; i < ready_slots_.size(); ++i) {
-          if (ready_lens_[i] == 0) continue;
           const std::uint32_t slot = ready_slots_[i];
           const std::span<const std::byte> frame{
               ring.staging.data() + static_cast<std::size_t>(slot) * ring.slot_size,
@@ -213,7 +226,7 @@ sim::Task<> RingServer::poll_loop() {
     }
 
     if (worked) {
-      interval = config_.poll_min_ns;
+      interval = kPollMinNs;
       idle_ns = 0;
     } else {
       idle_ns += interval;
@@ -221,7 +234,7 @@ sim::Task<> RingServer::poll_loop() {
         parks_->inc();
         break;
       }
-      interval = std::min(interval * 2, config_.poll_max_ns);
+      interval = std::min(interval * 2, kPollMaxNs);
     }
     co_await sched.delay(interval);
   }
@@ -255,37 +268,32 @@ std::size_t RingServer::seal_response(ClientRing& ring, std::uint32_t slot,
 
 std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
                                      const ucrp::RequestHeader& req,
-                                     std::span<const std::byte> key_block) {
+                                     std::span<const std::byte> key_block,
+                                     std::size_t& value_bytes) {
   const std::span<std::byte> staging = slot_span(ring.staging, slot, ring.slot_size);
   const std::span<std::byte> body = ucr::frame_body(staging);
   const auto key_count = static_cast<std::uint32_t>(req.delta);
-
-  ucrp::ResponseHeader resp;
-  resp.status = ucrp::RStatus::value;
-  resp.req_id = req.req_id;
+  const ucrp::ResponseHeader failed{.status = ucrp::RStatus::server_error,
+                                    .req_id = req.req_id};
 
   // Single-chunk layout: ResponseHeader | MgetChunkHeader | records | values.
   const std::size_t records_at =
       ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize;
   std::size_t values_at = records_at + key_count * ucrp::MgetRecord::kSize;
-  if (values_at > body.size()) {
-    return seal_response(ring, slot,
-                         ucrp::ResponseHeader{.status = ucrp::RStatus::server_error,
-                                              .req_id = req.req_id},
-                         {});
-  }
+  if (values_at > body.size()) return seal_response(ring, slot, failed, {});
 
+  mc::ItemStore& store = server_->store();
   ucrp::MgetKeyReader reader{key_block.data(), key_block.size()};
   std::string_view key;
   std::uint32_t index = 0;
-  std::size_t value_bytes = 0;
+  std::size_t staged = 0;
   bool overflow = false;
   while (index < key_count && reader.next(key)) {
     ucrp::MgetRecord rec;
-    if (mc::ItemHeader* item = store_->get_pinned(key)) {
+    if (mc::ItemHeader* item = store.get_pinned(key)) {
       const auto value = item->value();
       if (values_at + value.size() > body.size()) {
-        store_->release(item);
+        store.release(item);
         overflow = true;
         break;
       }
@@ -295,8 +303,8 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
       rec.value_len = static_cast<std::uint32_t>(value.size());
       std::memcpy(body.data() + values_at, value.data(), value.size());
       values_at += value.size();
-      value_bytes += value.size();
-      store_->release(item);
+      staged += value.size();
+      store.release(item);
     }
     rec.encode(body.data() + records_at + index * ucrp::MgetRecord::kSize);
     ++index;
@@ -304,10 +312,7 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   if (overflow || index != key_count) {
     // Reply overflows the slot (or the block was malformed): hand the
     // whole multiget back to the RPC path, which chunks freely.
-    return seal_response(ring, slot,
-                         ucrp::ResponseHeader{.status = ucrp::RStatus::server_error,
-                                              .req_id = req.req_id},
-                         {});
+    return seal_response(ring, slot, failed, {});
   }
 
   ucrp::MgetChunkHeader chunk;
@@ -315,9 +320,10 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   chunk.record_count = key_count;
   chunk.total_chunks = 1;
   chunk.total_keys = key_count;
+  const ucrp::ResponseHeader resp{.status = ucrp::RStatus::value, .req_id = req.req_id};
   resp.encode(body.data());
   chunk.encode(body.data() + ucrp::ResponseHeader::kSize);
-  mget_value_bytes_ = value_bytes;
+  value_bytes = staged;
   const auto body_len = static_cast<std::uint32_t>(values_at);
   ucr::seal_frame(staging, ring.expected_seq[slot], body_len);
   return ucr::framed_size(body_len);
@@ -325,119 +331,42 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
 
 sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,
                                            std::span<const std::byte> body) {
-  co_await host_->cpu().consume(config_.request_ns + config_.op_base_ns);
+  const mc::McCosts& costs = server_->config().costs;
+  co_await host_->cpu().consume(kRequestNs + costs.op_base_ns);
 
-  ucrp::ResponseHeader resp;
-  if (body.size() < ucrp::RequestHeader::kSize) {
-    resp.status = ucrp::RStatus::client_error;
-    co_return seal_response(ring, slot, resp, {});
+  ucrp::RequestView req;
+  if (ucrp::parse_request(body, req) != ucrp::RequestCheck::ok) {
+    co_return seal_response(
+        ring, slot,
+        {.status = ucrp::RStatus::client_error, .req_id = req.header.req_id}, {});
   }
-  const auto req = ucrp::RequestHeader::decode(body.data());
-  resp.req_id = req.req_id;
-  const std::span<const std::byte> tail = body.subspan(ucrp::RequestHeader::kSize);
-  if (tail.size() < req.key_len) {
-    resp.status = ucrp::RStatus::client_error;
-    co_return seal_response(ring, slot, resp, {});
-  }
-  const std::string_view key{reinterpret_cast<const char*>(tail.data()), req.key_len};
-  const std::span<const std::byte> value = tail.subspan(req.key_len);
-
-  store_->set_clock(
-      static_cast<std::uint32_t>(1 + runtime_->scheduler().now() / kNsPerSec));
+  server_->advance_clock();
 
   std::size_t copied_bytes = 0;
   std::size_t frame_len = 0;
   {
     obs::ProfScope prof{kProfExecute};
-    switch (req.op) {
-      case ucrp::Op::get:
-      case ucrp::Op::gets: {
-        if (mc::ItemHeader* item = store_->get_pinned(key)) {
-          resp.status = ucrp::RStatus::value;
-          resp.flags = item->flags;
-          resp.cas = item->cas;
-          frame_len = seal_response(ring, slot, resp, item->value());
-          copied_bytes = item->value_len;
-          store_->release(item);
-        } else {
-          resp.status = ucrp::RStatus::not_found;
-          frame_len = seal_response(ring, slot, resp, {});
-        }
-        break;
+    if (req.header.op == ucrp::Op::mget) {
+      frame_len = execute_mget(ring, slot, req.header, std::as_bytes(std::span(req.key)),
+                               copied_bytes);
+    } else {
+      mc::ItemHeader* pinned = nullptr;
+      const ucrp::ResponseHeader resp =
+          server_->execute_ucr(req.header, req.key, req.rest, &pinned);
+      if (pinned != nullptr) {
+        frame_len = seal_response(ring, slot, resp, pinned->value());
+        copied_bytes = pinned->value_len;
+        server_->store().release(pinned);
+      } else {
+        frame_len = seal_response(ring, slot, resp, {});
+        if (ucrp::is_storage(req.header.op)) copied_bytes = req.rest.size();
       }
-      case ucrp::Op::set:
-      case ucrp::Op::add:
-      case ucrp::Op::replace:
-      case ucrp::Op::append:
-      case ucrp::Op::prepend:
-      case ucrp::Op::cas: {
-        mc::SetMode mode = mc::SetMode::set;
-        switch (req.op) {
-          case ucrp::Op::add: mode = mc::SetMode::add; break;
-          case ucrp::Op::replace: mode = mc::SetMode::replace; break;
-          case ucrp::Op::append: mode = mc::SetMode::append; break;
-          case ucrp::Op::prepend: mode = mc::SetMode::prepend; break;
-          case ucrp::Op::cas: mode = mc::SetMode::cas; break;
-          default: break;
-        }
-        auto stored = store_->store(mode, key, value, req.flags, req.exptime, req.cas);
-        if (stored.ok()) {
-          resp.status = ucrp::RStatus::stored;
-        } else {
-          switch (stored.error()) {
-            case Errc::not_stored: resp.status = ucrp::RStatus::not_stored; break;
-            case Errc::exists: resp.status = ucrp::RStatus::exists; break;
-            case Errc::not_found: resp.status = ucrp::RStatus::not_found; break;
-            default: resp.status = ucrp::RStatus::server_error; break;
-          }
-        }
-        copied_bytes = value.size();
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      }
-      case ucrp::Op::del:
-        resp.status =
-            store_->del(key) ? ucrp::RStatus::deleted : ucrp::RStatus::not_found;
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      case ucrp::Op::incr:
-      case ucrp::Op::decr: {
-        auto result = store_->arith(key, req.delta, req.op == ucrp::Op::decr);
-        if (result.ok()) {
-          resp.status = ucrp::RStatus::number;
-          resp.number = *result;
-        } else if (result.error() == Errc::not_found) {
-          resp.status = ucrp::RStatus::not_found;
-        } else {
-          resp.status = ucrp::RStatus::client_error;
-        }
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      }
-      case ucrp::Op::touch:
-        resp.status = store_->touch(key, req.exptime) ? ucrp::RStatus::touched
-                                                      : ucrp::RStatus::not_found;
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
-      case ucrp::Op::mget:
-        mget_value_bytes_ = 0;
-        frame_len = execute_mget(
-            ring, slot, req,
-            tail.first(std::min<std::size_t>(req.key_len, tail.size())));
-        copied_bytes = mget_value_bytes_;
-        break;
-      default:
-        // flush_all / version and anything unknown stay on the RPC path
-        // (fallback matrix, DESIGN.md §16).
-        resp.status = ucrp::RStatus::client_error;
-        frame_len = seal_response(ring, slot, resp, {});
-        break;
     }
   }
 
   if (copied_bytes != 0) {
     co_await host_->cpu().consume(static_cast<sim::Time>(
-        static_cast<double>(copied_bytes) * config_.value_copy_ns_per_byte));
+        static_cast<double>(copied_bytes) * costs.value_copy_ns_per_byte));
   }
   co_return frame_len;
 }

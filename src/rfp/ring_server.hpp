@@ -3,20 +3,21 @@
 // A RingServer owns one request ring per bootstrapped client endpoint.
 // Clients RDMA-write framed commands (ucr/frame.hpp) into their ring slots;
 // a single dedicated poll loop sweeps every ring, executes verified
-// frames directly against the ItemStore, and RDMA-writes the framed
-// response into the client's response arena — one doorbell per ring
-// sweep via the runtime's send-batch window. No active message, CQ
-// wake-up, or worker hand-off touches the data path.
+// frames through the memcached server's own executor
+// (mc::Server::execute_ucr, the one the AM worker path runs), and
+// RDMA-writes the framed response into the client's response arena — one
+// doorbell per ring sweep via the runtime's send-batch window. No active
+// message, CQ wake-up, or worker hand-off touches the data path.
 //
 // Poll policy (billed to the server CPU so the bypass is honest): the
-// loop spins at poll_min_ns while frames arrive, doubles its interval
-// toward poll_max_ns when sweeps come up empty, and parks entirely after
-// park_after_ns of idleness. A parked loop costs nothing; clients re-arm
-// it with a one-way wake AM before their first request after a long gap
-// (the bootstrap descriptor tells them the threshold). A missed wake
-// degrades to the client's op timeout + RPC fallback, never to a hang —
-// and parking also keeps Scheduler::run() terminating (a perpetual
-// poller would wedge drivers that run the event loop dry).
+// loop spins at its minimum interval while frames arrive, doubles the
+// interval toward a tight maximum when sweeps come up empty, and parks
+// entirely after park_after_ns of idleness. A parked loop costs nothing;
+// clients re-arm it with a one-way wake AM before their first request
+// after a long gap (the bootstrap descriptor tells them the threshold). A
+// missed wake degrades to the client's op timeout + RPC fallback, never
+// to a hang — and parking also keeps Scheduler::run() terminating (a
+// perpetual poller would wedge drivers that run the event loop dry).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@
 #include <span>
 #include <vector>
 
-#include "memcached/store.hpp"
+#include "memcached/server.hpp"
 #include "memcached/ucr_proto.hpp"
 #include "obs/metrics.hpp"
 #include "rfp/layout.hpp"
@@ -36,34 +37,15 @@
 namespace rmc::rfp {
 
 struct RingServerConfig {
-  /// Geometry ceilings: a client's proposed ring is clamped to these.
-  std::uint32_t max_slot_count = 64;
-  std::uint32_t max_slot_size = 8192;
-
-  /// Adaptive poll interval: spin at min while busy, back off x2 per
-  /// empty sweep toward max, park after this much cumulative idleness.
-  /// The max is deliberately tight — pickup lag is bounded by it, and a
-  /// closed-loop client would otherwise phase-lock against a coarse
-  /// interval and eat it on every op; parking (not backoff) is what
-  /// makes a truly idle ring free.
-  sim::Time poll_min_ns = 200;
-  sim::Time poll_max_ns = 400;
+  /// The poll loop parks after this much cumulative idleness.
   sim::Time park_after_ns = 200'000;
-
-  /// CPU costs. One sweep over the rings costs poll_sweep_ns; a verified
-  /// frame pays request_ns (decode) + op_base_ns (store op) plus
-  /// value_copy_ns_per_byte over the bytes staged into the response.
-  sim::Time poll_sweep_ns = 80;
-  sim::Time request_ns = 250;
-  sim::Time op_base_ns = 900;
-  double value_copy_ns_per_byte = 0.08;
 };
 
 class RingServer {
  public:
-  /// Registers the bootstrap + wake AM handlers on `runtime` and serves
-  /// ops against `store`, billing poll and execute work to `host`.
-  RingServer(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& store,
+  /// Registers the bootstrap + wake AM handlers on `runtime` and executes
+  /// ops through `server`, billing poll and execute work to `host`.
+  RingServer(ucr::Runtime& runtime, sim::Host& host, mc::Server& server,
              RingServerConfig config = {});
   ~RingServer();
   RingServer(const RingServer&) = delete;
@@ -100,17 +82,18 @@ class RingServer {
   RingDescriptor on_bootstrap(ucr::Endpoint& ep, const RingProposal& req);
   void ensure_polling();
   sim::Task<> poll_loop();
-  /// Execute one verified request frame and seal the response frame into
-  /// the ring's staging slot. Returns the sealed frame length (0 = the
-  /// reply cannot be represented; a server_error frame is sealed instead).
+  /// Check and execute one verified request frame and seal the response
+  /// frame into the ring's staging slot. Returns the sealed frame length.
   sim::Task<std::size_t> execute(ClientRing& ring, std::uint32_t slot,
                                  std::span<const std::byte> body);
   std::size_t seal_response(ClientRing& ring, std::uint32_t slot,
                             const mc::ucrp::ResponseHeader& resp,
                             std::span<const std::byte> value);
+  /// Serve a multiget as one chunk in one response slot. On success
+  /// `value_bytes` is set to the value bytes staged into it.
   std::size_t execute_mget(ClientRing& ring, std::uint32_t slot,
                            const mc::ucrp::RequestHeader& req,
-                           std::span<const std::byte> key_block);
+                           std::span<const std::byte> key_block, std::size_t& value_bytes);
   /// Advance the slot's expected epoch after its request has been executed
   /// and its response staged. This is the ONLY place the server's half of
   /// the lockstep seq protocol moves (rmclint seqlock-discipline blesses
@@ -120,7 +103,7 @@ class RingServer {
 
   ucr::Runtime* runtime_;
   sim::Host* host_;
-  mc::ItemStore* store_;
+  mc::Server* server_;
   RingServerConfig config_;
 
   // Swept in order when polling — ep-id-keyed ordered map so the sweep
@@ -138,10 +121,9 @@ class RingServer {
   std::uint64_t down_handler_id_ = 0;
 
   /// Ready slots found by the current sweep of one ring (scratch,
-  /// reserved to max_slot_count so steady state never allocates).
+  /// reserved to the slot-count ceiling so steady state never allocates).
   std::vector<std::uint32_t> ready_slots_;
   std::vector<std::size_t> ready_lens_;  ///< sealed frame length per ready slot
-  std::size_t mget_value_bytes_ = 0;     ///< staged bytes of the last mget
 
   obs::Counter* bootstraps_;
   obs::Counter* wakes_;

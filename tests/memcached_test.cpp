@@ -13,6 +13,7 @@
 #include "core/testbed.hpp"
 #include "memcached/client.hpp"
 #include "memcached/server.hpp"
+#include "obs/metrics.hpp"
 #include "simnet/netparams.hpp"
 
 namespace rmc::mc {
@@ -28,6 +29,7 @@ std::span<const std::byte> val(const std::string& s) {
 std::string str(std::span<const std::byte> b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
+std::uint64_t metric(const char* name) { return obs::registry().counter(name).value(); }
 
 /// One server host + one client host on an IB QDR fabric, with both a UCR
 /// frontend and an SDP socket frontend attached to the same server.
@@ -71,7 +73,7 @@ struct TestBed {
 };
 
 /// The full command matrix, executed against a connected client. Used for
-/// both transports so they provably behave identically.
+/// every transport and mode so they provably behave identically.
 Task<> exercise_full_api(Client& client, bool* done) {
   EXPECT_TRUE((co_await client.connect_all()).ok());
 
@@ -115,6 +117,18 @@ Task<> exercise_full_api(Client& client, bool* done) {
   EXPECT_EQ(*n, 0u);
   EXPECT_EQ((co_await client.incr("missing", 1)).error(), Errc::not_found);
 
+  // incr on a value that is not a number.
+  EXPECT_TRUE((co_await client.set("word", val("abc"))).ok());
+  EXPECT_EQ((co_await client.incr("word", 1)).error(), Errc::invalid_argument);
+
+  // touch hit and miss.
+  EXPECT_TRUE((co_await client.touch("word", 3600)).ok());
+  EXPECT_EQ((co_await client.touch("nothere", 3600)).error(), Errc::not_found);
+
+  // prepend and cas on a missing key.
+  EXPECT_EQ((co_await client.prepend("nothere", val("x"))).error(), Errc::not_stored);
+  EXPECT_EQ((co_await client.cas("nothere", val("x"), 1)).error(), Errc::not_found);
+
   // delete.
   EXPECT_TRUE((co_await client.del("count")).ok());
   EXPECT_EQ((co_await client.del("count")).error(), Errc::not_found);
@@ -149,6 +163,43 @@ TEST(EndToEnd, FullApiOverSockets) {
   bool done = false;
   bed.run(exercise_full_api(*client, &done));
   EXPECT_TRUE(done);
+}
+
+/// exercise_full_api on the first client of a core::TestBed, which wires
+/// the server side a client mode needs (publisher, ring server).
+bool full_api_on(const core::TestBedConfig& config) {
+  core::TestBed bed(config);
+  bool done = false;
+  bed.scheduler().spawn(exercise_full_api(bed.client(0), &done));
+  bed.scheduler().run();
+  return done;
+}
+
+TEST(EndToEnd, FullApiOverUcrOnesidedGet) {
+  const std::uint64_t reads0 = metric("mc.oneside.reads");
+  core::TestBedConfig config;
+  config.client.mode = ClientBehavior::Mode::onesided_get;
+  EXPECT_TRUE(full_api_on(config));
+  EXPECT_GT(metric("mc.oneside.reads") - reads0, 0u);
+}
+
+TEST(EndToEnd, FullApiOverUcrRfp) {
+  const std::uint64_t ops0 = metric("mc.rfp.ops");
+  const std::uint64_t falls0 = metric("mc.rfp.fallbacks");
+  core::TestBedConfig config;
+  config.client.mode = ClientBehavior::Mode::rfp;
+  EXPECT_TRUE(full_api_on(config));
+  // No op fell back, so every failure status above came from the ring
+  // server's executor.
+  EXPECT_EQ(metric("mc.rfp.fallbacks") - falls0, 0u);
+  EXPECT_GE(metric("mc.rfp.ops") - ops0, 20u);
+}
+
+TEST(EndToEnd, FullApiOverBinaryProtocol) {
+  core::TestBedConfig config;
+  config.transport = core::TransportKind::sdp;
+  config.client.binary_protocol = true;
+  EXPECT_TRUE(full_api_on(config));
 }
 
 TEST(EndToEnd, BothFrontendsShareOneStore) {
@@ -479,6 +530,58 @@ TEST(Robustness, OversizedUcrSetGetsErrorNotTimeout) {
     fin = true;
   }(bed, *client, done));
   EXPECT_TRUE(done);
+}
+
+TEST(Robustness, UcrRequestsAreCheckedLikeText) {
+  // A raw UCR peer (its own response handler and reply counter, no
+  // mc::Client) sends three requests no client library would. The server
+  // checks the request bytes and answers each client_error, as the text
+  // parser rejects an overlong key or an unknown command.
+  TestBed bed;
+  const std::string prefix(proto::Request::kMaxKeyLen, 'k');
+  ASSERT_TRUE(bed.server.store().store(SetMode::set, prefix, val("prefix value"), 0, 0).ok());
+  std::map<std::uint64_t, ucrp::RStatus> replies;  // req_id -> status
+  bed.client_ucr.register_handler(
+      ucrp::kMsgResponse,
+      {.on_header = {},
+       .on_complete = [&replies](ucr::Endpoint&, std::span<const std::byte> header,
+                                 std::span<std::byte>) {
+         const auto resp = ucrp::ResponseHeader::decode(header.data());
+         replies[resp.req_id] = resp.status;
+       }});
+  bool done = false;
+  bed.run([](TestBed& tb, const std::string& stored_key, bool& fin) -> Task<> {
+    auto ep = co_await tb.client_ucr.connect(tb.server_ucr.addr(), tb.server.config().port);
+    EXPECT_TRUE(ep.ok());
+    if (!ep.ok()) co_return;
+    auto replied = tb.client_ucr.make_counter();
+    const ucr::CounterRef ref = tb.client_ucr.export_counter(*replied);
+    // One request AM: a header that claims `key_len`, then `key`.
+    auto send = [&](std::uint64_t req_id, ucrp::Op op, std::size_t key_len,
+                    std::string_view key) {
+      ucrp::RequestHeader hdr;
+      hdr.op = op;
+      hdr.key_len = static_cast<std::uint16_t>(key_len);
+      hdr.req_id = req_id;
+      hdr.reply_counter = ref.id;
+      std::vector<std::byte> am(ucrp::RequestHeader::kSize + key.size());
+      hdr.encode(am.data());
+      std::memcpy(am.data() + ucrp::RequestHeader::kSize, key.data(), key.size());
+      EXPECT_TRUE(
+          tb.client_ucr.send_message(**ep, ucrp::kMsgRequest, am, {}, nullptr, {}, nullptr).ok());
+    };
+    const std::string long_key = stored_key + "x";  // 251 B; its 250 B prefix is stored
+    send(1, ucrp::Op::get, long_key.size(), long_key);
+    send(2, ucrp::Op::get, 100, "short");  // key_len claims more than the header carries
+    send(3, static_cast<ucrp::Op>(200), 3, "abc");  // names no op
+    EXPECT_TRUE(co_await replied->wait_geq(3, 10_ms));
+    fin = true;
+  }(bed, prefix, done));
+  EXPECT_TRUE(done);
+  ASSERT_EQ(replies.size(), 3u);
+  for (const auto& [req_id, status] : replies) {
+    EXPECT_EQ(status, ucrp::RStatus::client_error) << "request " << req_id;
+  }
 }
 
 TEST(Robustness, GarbageOnTextPortAnswersErrorAndCloses) {

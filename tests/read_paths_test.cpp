@@ -99,7 +99,7 @@ struct Pool {
             runtime, host, server.store(), onesided::PublisherConfig{}));
       }
       if (t == Transport::ucr_rfp) {
-        rings.push_back(std::make_unique<rfp::RingServer>(runtime, host, server.store(),
+        rings.push_back(std::make_unique<rfp::RingServer>(runtime, host, server,
                                                           rfp::RingServerConfig{}));
       }
       client->add_server_ucr(*client_ucr, runtime.addr(), server.config().port);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,8 +104,7 @@ struct RfpWorld {
   explicit RfpWorld(mc::ClientBehavior behavior = {},
                     rfp::RingServerConfig ring_cfg = {}) {
     server.attach_ucr_frontend(server_ucr);
-    ring = std::make_unique<rfp::RingServer>(server_ucr, server_host, server.store(),
-                                             ring_cfg);
+    ring = std::make_unique<rfp::RingServer>(server_ucr, server_host, server, ring_cfg);
     behavior.mode = mc::ClientBehavior::Mode::rfp;
     client = std::make_unique<mc::Client>(sched, client_host, behavior);
     client->add_server_ucr(client_ucr, server_ucr.addr(), 11211);
@@ -146,8 +146,7 @@ struct ChannelWorld {
 
   explicit ChannelWorld(rfp::ChannelConfig cfg = {}, rfp::RingServerConfig srv_cfg = {}) {
     server.attach_ucr_frontend(server_ucr);
-    ring = std::make_unique<rfp::RingServer>(server_ucr, server_host, server.store(),
-                                             srv_cfg);
+    ring = std::make_unique<rfp::RingServer>(server_ucr, server_host, server, srv_cfg);
     channel = std::make_unique<rfp::Channel>(client_ucr, client_host, cfg);
   }
 
@@ -400,6 +399,77 @@ TEST(Rfp, OversizeRequestsAndOverflowingRepliesFallBackToRpc) {
 
   EXPECT_GT(metric("mc.rfp.oversize") - over0, 0u);
   EXPECT_GE(metric("mc.rfp.fallbacks") - falls0, 2u);
+}
+
+// ------------------------------------------------ request checking ----
+
+TEST(Rfp, RingRequestsAreCheckedLikeText) {
+  // The ring server checks a frame body with the parser the AM path uses,
+  // and answers the same three bad requests client_error.
+  ChannelWorld w;
+  const std::string prefix(mc::proto::Request::kMaxKeyLen, 'k');
+  ASSERT_TRUE(
+      w.server.store().store(mc::SetMode::set, prefix, bytes_view("prefix value"), 0, 0).ok());
+
+  w.drive([](ChannelWorld& wk, const std::string& stored_key) -> Task<> {
+    EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+
+    // A 251-byte key whose 250-byte prefix is stored.
+    const std::string long_key = stored_key + "x";
+    auto overlong = co_await wk.raw_get(long_key);
+    EXPECT_TRUE(overlong.ok());
+    if (!overlong.ok()) co_return;
+    EXPECT_EQ(overlong->header.status, ucrp::RStatus::client_error);
+    wk.channel->release(overlong->slot);
+
+    // An op byte that names no op.
+    ucrp::RequestHeader no_op;
+    no_op.op = static_cast<ucrp::Op>(200);
+    auto unknown = co_await wk.channel->execute(*wk.ep, no_op, bytes_view("abc"), {},
+                                                1 * kNsPerSec);
+    EXPECT_TRUE(unknown.ok());
+    if (!unknown.ok()) co_return;
+    EXPECT_EQ(unknown->header.status, ucrp::RStatus::client_error);
+    wk.channel->release(unknown->slot);
+
+    // A key_len that claims more bytes than the frame carries. execute()
+    // sets key_len from the key it frames, so this request is forged:
+    // sealed at idle slot 1's epoch (sequential ops use slot 0) and
+    // written straight into the request ring. Its answer lands in
+    // response slot 1 at the same epoch.
+    constexpr std::uint32_t kSlot = 1;
+    const std::uint32_t slot_size = wk.channel->descriptor().slot_size;
+    const std::uint32_t seq = wk.channel->slot_seq_for_test(kSlot);
+    std::vector<std::byte> frame(slot_size);
+    wk.client_ucr.register_region(frame);
+    ucrp::RequestHeader lying;
+    lying.op = ucrp::Op::get;
+    lying.key_len = 100;
+    lying.req_id = 7;
+    const std::string key = "short";
+    const std::span<std::byte> body = ucr::frame_body(frame);
+    lying.encode(body.data());
+    std::memcpy(body.data() + ucrp::RequestHeader::kSize, key.data(), key.size());
+    const auto body_len = static_cast<std::uint32_t>(ucrp::RequestHeader::kSize + key.size());
+    ucr::seal_frame(frame, seq, body_len);
+    const auto framed = std::span<const std::byte>(frame).first(ucr::framed_size(body_len));
+    EXPECT_TRUE(wk.client_ucr
+                    .put(*wk.ep, framed, wk.channel->descriptor().request_ring,
+                         kSlot * slot_size, nullptr)
+                    .ok());
+    const auto response =
+        wk.channel->response_arena_for_test().subspan(kSlot * slot_size, slot_size);
+    std::span<const std::byte> answer;
+    for (int i = 0; i < 100 && ucr::read_frame(response, seq, answer) != ucr::FrameState::ready;
+         ++i) {
+      co_await wk.sched.delay(1_us);
+    }
+    EXPECT_EQ(ucr::read_frame(response, seq, answer), ucr::FrameState::ready);
+    if (answer.size() < ucrp::ResponseHeader::kSize) co_return;
+    const auto resp = ucrp::ResponseHeader::decode(answer.data());
+    EXPECT_EQ(resp.status, ucrp::RStatus::client_error);
+    EXPECT_EQ(resp.req_id, 7u);
+  }(w, prefix));
 }
 
 // ----------------------------------------------------- torn frames ----

@@ -217,7 +217,7 @@ TEST(ZeroAlloc, SteadyStateRfpGetAndSetAllocateNothing) {
   ucr::Runtime client_ucr{client_hca};
   Server server{sched, server_host, {}};
   server.attach_ucr_frontend(server_ucr);
-  rfp::RingServer ring{server_ucr, server_host, server.store(), {}};
+  rfp::RingServer ring{server_ucr, server_host, server, {}};
 
   ClientBehavior behavior;
   behavior.mode = ClientBehavior::Mode::rfp;
