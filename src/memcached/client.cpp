@@ -648,12 +648,14 @@ class UcrConn final : public ServerConn {
   sim::Task<Result<GetIntoResult>> get_into(std::string_view key, std::span<std::byte> dest,
                                             bool with_cas) override {
     // The fallback ladder, once: a one-sided Read, then the RFP rings, then
-    // the classic RPC, which remains the authority for every miss.
+    // the classic RPC, which remains the authority for every miss. A bypass
+    // whose bootstrap failed still takes its rung, so its fallback counter
+    // shows the degraded connection.
     if (!alive()) co_return Errc::disconnected;
     release_overflow();
     const sim::Time t0 = sched_->now();
     co_await host_->cpu().consume(behavior_.format_ns);
-    if (getter_ && getter_->ready()) {
+    if (getter_) {
       auto hit = co_await getter_->try_get(*ep_, key);
       if (hit.ok()) {
         // An unlanded value stays in the getter's read buffer until the
@@ -665,7 +667,7 @@ class UcrConn final : public ServerConn {
       }
       if (!alive()) co_return Errc::disconnected;
     }
-    if (rfp_ && rfp_->ready()) {
+    if (rfp_) {
       auto hit = co_await rfp_->execute(*ep_, {.op = with_cas ? ucrp::Op::gets : ucrp::Op::get},
                                         key_bytes(key), {}, behavior_.op_timeout);
       if (hit.ok()) {
@@ -922,16 +924,16 @@ class UcrConn final : public ServerConn {
   static void ensure_handler(ucr::Runtime& runtime);
 
   /// The rings→RPC ladder of every single-key op but GET: through the RFP
-  /// rings when they are up (flush_all stays RPC), else — and on any ring
-  /// fallback — as a classic RPC. A completed RPC storage op records the
-  /// set spans.
+  /// rings in mode rfp (flush_all stays RPC), and on any ring fallback —
+  /// rings that never came up included — as a classic RPC. A completed RPC
+  /// storage op records the set spans.
   sim::Task<Result<ucrp::ResponseHeader>> call(ucrp::Op op, std::string_view key,
                                                std::span<const std::byte> value = {},
                                                const ucrp::RequestHeader& extra = kNoExtra) {
     if (!alive()) co_return Errc::disconnected;
     const sim::Time t0 = sched_->now();
     co_await host_->cpu().consume(behavior_.format_ns);
-    if (rfp_ && rfp_->ready() && op != ucrp::Op::flush_all) {
+    if (rfp_ && op != ucrp::Op::flush_all) {
       ucrp::RequestHeader hdr = extra;
       hdr.op = op;
       auto done = co_await rfp_->execute(*ep_, hdr, key_bytes(key), value,

@@ -19,12 +19,10 @@ struct UcrConfig {
   std::uint32_t recv_buffers = 1024;
 
   /// Credit window per endpoint: max eager messages in flight towards a
-  /// peer before the sender's backlog queue kicks in.
-  std::uint32_t credits_per_ep = 32;
-
-  /// Return credits explicitly once this many are owed (otherwise they
+  /// peer before the sender's backlog queue kicks in. A receiver returns
+  /// credits explicitly once half the window is owed (otherwise they
   /// piggyback on reverse traffic).
-  std::uint32_t credit_return_threshold = 16;
+  std::uint32_t credits_per_ep = 32;
 
   /// Runtime dispatch + handler invocation cost per active message.
   sim::Time am_dispatch_ns = 500;
@@ -37,27 +35,11 @@ struct UcrConfig {
   /// (exposed for the ablation benchmark).
   bool event_driven_cq = false;
 
-  /// Pipelined CQ drains: exported-counter fires landing in the same
-  /// drain batch coalesce into one add(n) at end of drain, so the waiter
-  /// of a multi-chunk multiget resumes once instead of once per chunk.
-  /// Single-completion drains flush at the same sim time either way, so
-  /// sequential single-op latencies (fig 3/4) are unaffected.
-  bool coalesce_drain_fires = true;
-
-  /// Keepalive probe interval for reliable endpoints. 0 (default)
-  /// disables the prober entirely — note that a non-zero interval keeps a
-  /// perpetual task alive, so drivers must use run_until, not run().
+  /// Keepalive probe interval for reliable endpoints; an endpoint silent
+  /// for 4 intervals is declared dead. 0 (default) disables the prober
+  /// entirely — note that a non-zero interval keeps a perpetual task
+  /// alive, so drivers must use run_until, not run().
   sim::Time keepalive_interval = 0;
-
-  /// Declare an endpoint dead after this much silence. 0 derives
-  /// 4 * keepalive_interval.
-  sim::Time keepalive_timeout = 0;
-
-  /// How long a failed/closed endpoint lingers before its storage (and RC
-  /// QP) is reclaimed. The grace period lets in-flight references — work
-  /// items queued at server workers, handler notifications — drain before
-  /// the Endpoint object disappears.
-  sim::Time ep_reclaim_delay = 5'000'000;  // 5 ms
 };
 
 }  // namespace rmc::ucr

@@ -34,6 +34,12 @@ constexpr std::uint64_t kTagMask = 3ull << kTagShift;
 /// Byte offset of AmWire::credits within the encoded header (see encode()).
 constexpr std::size_t kCreditsOffset = 1 + 1 + 2 + 2;
 
+/// How long a failed/closed endpoint lingers before its storage (and RC
+/// QP) is reclaimed. The grace period lets in-flight references — work
+/// items queued at server workers, handler notifications — drain before
+/// the Endpoint object disappears.
+constexpr sim::Time kEpReclaimDelay = 5'000'000;  // 5 ms
+
 std::span<const std::byte> const_span(const std::vector<std::byte>& v) {
   return {v.data(), v.size()};
 }
@@ -299,9 +305,9 @@ void Runtime::notify_endpoint_down(Endpoint& ep, Errc reason) {
   // Deferred to the next scheduler turn so handlers observe a settled
   // endpoint (pending maps cleaned, waiters woken) and may re-enter the
   // runtime (reconnect, close) without re-entrancy surprises. The
-  // Endpoint object outlives the turn: reclamation waits ep_reclaim_delay.
+  // Endpoint object outlives the turn: reclamation waits kEpReclaimDelay.
   // rmclint:allow(coro-lifetime): the captured Endpoint pointer stays valid —
-  // reclamation is deferred by ep_reclaim_delay, strictly after this turn.
+  // reclamation is deferred by kEpReclaimDelay, strictly after this turn.
   scheduler().call_at(scheduler().now(), [this, ep = &ep, reason] {
     std::vector<EndpointDownHandler*> snapshot;
     // rmclint:allow(zeroalloc): failure path — endpoint death is off the steady-state budget
@@ -323,7 +329,7 @@ void Runtime::retire_endpoint(Endpoint& ep) {
 void Runtime::schedule_reap() {
   if (reap_armed_) return;
   reap_armed_ = true;
-  scheduler().call_in(config_.ep_reclaim_delay + 1, [this] { reap_endpoints(); });
+  scheduler().call_in(kEpReclaimDelay + 1, [this] { reap_endpoints(); });
 }
 
 void Runtime::reap_endpoints() {
@@ -332,7 +338,7 @@ void Runtime::reap_endpoints() {
   bool stragglers = false;
   std::erase_if(endpoints_, [&](std::unique_ptr<Endpoint>& ep) {
     if (ep->retired_at_ == 0) return false;
-    if (now < ep->retired_at_ + config_.ep_reclaim_delay) {
+    if (now < ep->retired_at_ + kEpReclaimDelay) {
       stragglers = true;
       return false;
     }
@@ -350,8 +356,7 @@ void Runtime::reap_endpoints() {
 
 sim::Task<> Runtime::keepalive_loop() {
   const sim::Time interval = config_.keepalive_interval;
-  const sim::Time timeout =
-      config_.keepalive_timeout != 0 ? config_.keepalive_timeout : 4 * interval;
+  const sim::Time timeout = 4 * interval;
   while (true) {
     co_await scheduler().delay(interval);
     const sim::Time now = scheduler().now();
@@ -561,8 +566,10 @@ void Runtime::flush_backlog(Endpoint& ep) {
 }
 
 void Runtime::return_credits(Endpoint& ep) {
+  // Return explicitly at half the window: a threshold at or above the
+  // window would never fire, and a quiet connection could wedge.
   ++ep.credits_owed_;
-  if (ep.credits_owed_ >= config_.credit_return_threshold) {
+  if (ep.credits_owed_ >= std::max(1u, config_.credits_per_ep / 2)) {
     send_internal(ep, wire::Kind::credit, 0, 0);  // transmit() flushes owed
   }
 }
@@ -633,7 +640,7 @@ void Runtime::fire_exported(std::uint64_t counter_id) {
   auto it = exported_counters_.find(counter_id);
   if (it == exported_counters_.end()) return;
   sim::Counter* counter = it->second;
-  if (drain_depth_ == 0 || !config_.coalesce_drain_fires) {
+  if (drain_depth_ == 0) {
     counter->add();
     return;
   }

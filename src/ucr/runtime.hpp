@@ -236,7 +236,7 @@ class Runtime {
   void detach_endpoint(Endpoint& ep);
   /// Deferred on_endpoint_down delivery.
   void notify_endpoint_down(Endpoint& ep, Errc reason);
-  /// Queue the endpoint for reclamation after ep_reclaim_delay.
+  /// Queue the endpoint for reclamation after kEpReclaimDelay.
   void retire_endpoint(Endpoint& ep);
   void schedule_reap();
   void reap_endpoints();
@@ -252,10 +252,11 @@ class Runtime {
   void repost_recv_slot(std::uint32_t slot);
 
   /// Fire the exported counter an AM named as its target. Inside a CQ
-  /// drain batch (and with config.coalesce_drain_fires set), sibling
-  /// fires to the same counter merge into one add(n) flushed at end of
-  /// drain — a multi-chunk multiget wakes its waiter once, not once per
-  /// chunk. ucr.cq.drain_batch records completions per drain.
+  /// drain batch, sibling fires to the same counter merge into one add(n)
+  /// flushed at end of drain — a multi-chunk multiget wakes its waiter
+  /// once, not once per chunk. Single-completion drains flush at the same
+  /// sim time either way, so sequential single-op latencies are
+  /// unaffected. ucr.cq.drain_batch records completions per drain.
   void fire_exported(std::uint64_t counter_id);
   void begin_drain() { ++drain_depth_; }
   void end_drain(std::uint32_t completions);

@@ -59,10 +59,12 @@ struct OneSidedWorld {
   std::unique_ptr<mc::Client> writer;
 
   explicit OneSidedWorld(onesided::PublisherConfig pub_cfg = {},
-                         mc::ClientBehavior reader_behavior = {}) {
+                         mc::ClientBehavior reader_behavior = {}, bool publish = true) {
     server.attach_ucr_frontend(server_ucr);
-    publisher = std::make_unique<onesided::Publisher>(server_ucr, server_host,
-                                                      server.store(), pub_cfg);
+    if (publish) {
+      publisher = std::make_unique<onesided::Publisher>(server_ucr, server_host,
+                                                        server.store(), pub_cfg);
+    }
     reader_behavior.mode = mc::ClientBehavior::Mode::onesided_get;
     reader = std::make_unique<mc::Client>(sched, reader_host, reader_behavior);
     reader->add_server_ucr(reader_ucr, server_ucr.addr(), 11211);
@@ -125,6 +127,36 @@ TEST(OneSided, HitBypassesServerAndFallsBackOnMissAndDelete) {
   EXPECT_GT(metric("mc.oneside.fallbacks"), falls0);
   EXPECT_GE(w.publisher->published(), 1u);
   EXPECT_GE(w.publisher->retracted(), 1u);
+}
+
+TEST(OneSided, ServerWithoutPublisherShowsEveryGetAsAFallback) {
+  // No Publisher answers the bootstrap, so the reader's connection never
+  // gets an index. Every GET still takes the one-sided rung and falls back
+  // to RPC: the degraded mode shows as one fallback per GET instead of
+  // hiding behind correct answers.
+  OneSidedWorld w({}, {}, /*publish=*/false);
+  constexpr std::uint64_t kGets = 12;
+  const std::uint64_t reads0 = metric("mc.oneside.reads");
+  const std::uint64_t falls0 = metric("mc.oneside.fallbacks");
+
+  // Run to quiescence, not under drive()'s horizon: the unanswered
+  // bootstrap idles the whole world until its op timeout.
+  bool done = false;
+  w.sched.spawn([](OneSidedWorld& wk, bool& fin) -> Task<> {
+    EXPECT_TRUE((co_await wk.writer->connect_all()).ok());
+    EXPECT_TRUE((co_await wk.reader->connect_all()).ok());
+    EXPECT_TRUE((co_await wk.writer->set("alpha", bytes_view("value-one"))).ok());
+    for (std::uint64_t i = 0; i < kGets; ++i) {
+      auto hit = co_await wk.reader->get("alpha");
+      EXPECT_TRUE(hit.ok());
+    }
+    fin = true;
+  }(w, done));
+  w.sched.run();
+  ASSERT_TRUE(done);
+
+  EXPECT_EQ(metric("mc.oneside.reads") - reads0, kGets);
+  EXPECT_EQ(metric("mc.oneside.fallbacks") - falls0, kGets);
 }
 
 TEST(OneSided, GetIntoLandsInCallerBuffer) {
