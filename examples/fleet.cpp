@@ -33,7 +33,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/fleetbed.hpp"
+#include "core/testbed.hpp"
 #include "core/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -55,7 +55,7 @@ std::uint64_t arg_u64(int argc, char** argv, std::string_view flag, std::uint64_
   return v.empty() ? dflt : std::strtoull(v.c_str(), nullptr, 10);
 }
 
-void print_phase(const char* name, const core::FleetResult& r) {
+void print_phase(const char* name, const core::WorkloadResult& r) {
   std::printf("%-14s %9llu ops  %10.0f ops/s  hit %5.1f%%  p50 %7.1fus  p99 %7.1fus",
               name, static_cast<unsigned long long>(r.total_ops), r.tps(),
               100.0 * r.hit_ratio(),
@@ -69,7 +69,7 @@ void print_phase(const char* name, const core::FleetResult& r) {
   std::printf("\n");
 }
 
-void print_shards(const core::FleetResult& r) {
+void print_shards(const core::WorkloadResult& r) {
   std::printf("    shard:");
   for (std::size_t s = 0; s < r.shards.size(); ++s) {
     std::printf(" mc%zu=%llu", s, static_cast<unsigned long long>(r.shards[s].ops));
@@ -77,7 +77,7 @@ void print_shards(const core::FleetResult& r) {
   std::printf("\n");
 }
 
-std::uint64_t total_evictions(const core::FleetResult& r) {
+std::uint64_t total_evictions(const core::WorkloadResult& r) {
   std::uint64_t n = 0;
   for (const auto& sh : r.shards) n += sh.evictions;
   return n;
@@ -96,14 +96,14 @@ int main(int argc, char** argv) {
   const std::string profile_path = arg_value(argc, argv, "--profile");
   if (!profile_path.empty()) obs::profiler().enable();
 
-  core::FleetBedConfig bed_config;
+  core::TestBedConfig bed_config;
+  bed_config.num_clients = clients;
   bed_config.shards = shards;
-  bed_config.clients = clients;
   bed_config.generators = gens;
   // Deliberately tight slab budget per shard: phases 1-3 fit their working
   // sets, the storm phase (several times this in set bytes) does not.
   bed_config.server.store.slabs.memory_limit = 2 * 1024 * 1024;
-  core::FleetBed bed(bed_config);
+  core::TestBed bed(bed_config);
 
   std::printf("fleet: %u shards x %u clients = %zu connections on %u generator hosts "
               "(seed %llu)\n\n",
@@ -191,12 +191,12 @@ int main(int argc, char** argv) {
   // A fixed small shape independent of --clients so the headline runs don't
   // double; the point is end-to-end coverage of the ring path under the
   // sharded mixed workload, not throughput.
-  core::FleetBedConfig rfp_config;
+  core::TestBedConfig rfp_config;
+  rfp_config.num_clients = 16;
   rfp_config.shards = 2;
-  rfp_config.clients = 16;
   rfp_config.generators = 2;
   rfp_config.client.mode = mc::ClientBehavior::Mode::rfp;
-  core::FleetBed rfp_bed(rfp_config);
+  core::TestBed rfp_bed(rfp_config);
   core::FleetWorkloadConfig rfp_mix = saturation;
   rfp_mix.key_space = 2048;
   rfp_mix.seed = seed + 5;

@@ -1,6 +1,8 @@
 #include "core/testbed.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "obs/profiler.hpp"
 
@@ -97,12 +99,23 @@ sock::StackCosts degrade_sdp_on_qdr(sock::StackCosts costs) {
   return costs;
 }
 
+/// SRQ sizing for a runtime terminating `endpoints` peers whose senders
+/// each hold `credits` eager credits: every credit is a receive buffer the
+/// sender may legitimately consume, so anything less risks the
+/// receiver_not_ready protocol failure. The slack absorbs connection
+/// setup traffic, which runs outside the credit window.
+std::uint32_t srq_for(std::size_t endpoints, std::uint32_t credits) {
+  return static_cast<std::uint32_t>(endpoints) * credits + 64;
+}
+
 }  // namespace
 
 TestBed::TestBed(TestBedConfig config) : config_(config) {
   obs::ProfScope prof{kProfSetup};
   assert(transport_available(config.cluster, config.transport) &&
          "this transport did not exist on this cluster in the paper");
+  config_.shards = std::max(1u, config_.shards);
+  config_.generators = std::min(config_.generators, config_.num_clients);
   sched_ = std::make_unique<sim::Scheduler>();
 
   // Pick the fabric the transport runs on.
@@ -153,62 +166,95 @@ TestBed::TestBed(TestBedConfig config) : config_(config) {
       break;
   }
   fabric_ = std::make_unique<sim::Fabric>(*sched_, link);
+  const verbs::VerbsCosts hca_costs = verbs_costs(config.cluster, config.transport);
+
+  // Packed clients multiply every per-connection buffer by thousands of
+  // connections, so a packed bed shrinks each to what its small values
+  // need: 1 KiB eager frames with 4 credits (an SRQ buffer per credit), an
+  // 8 KiB landing arena (overflow falls back gracefully), and RFP rings of
+  // 4 × 1536 B slots, mirrored by a request ring on every shard.
+  ucr::UcrConfig ucr = config_.ucr;
+  mc::ClientBehavior behavior = config_.client;
+  if (config_.generators != 0) {
+    ucr.eager_limit = 1024;
+    ucr.credits_per_ep = 4;
+    behavior.arena_bytes = 8 * 1024;
+    behavior.rfp.slot_count = 4;
+    behavior.rfp.slot_size = 1536;
+  }
+  const unsigned client_hosts =
+      config_.generators != 0 ? config_.generators : config_.num_clients;
+  const std::size_t clients_per_host =
+      client_hosts != 0 ? (config_.num_clients + client_hosts - 1) / client_hosts : 0;
 
   const unsigned cores = host_cores(config.cluster);
-  server_host_ = std::make_unique<sim::Host>(*sched_, 0, "server", cores);
-  for (unsigned i = 0; i < config.num_clients; ++i) {
-    client_hosts_.push_back(
-        std::make_unique<sim::Host>(*sched_, i + 1, "client" + std::to_string(i), cores));
-  }
+  auto make_node = [&](unsigned id, std::string name, std::size_t endpoints) {
+    Node node;
+    node.host = std::make_unique<sim::Host>(*sched_, id, std::move(name), cores);
+    if (use_ucr) {
+      node.hca = std::make_unique<verbs::Hca>(*sched_, *fabric_, *node.host, hca_costs);
+      ucr::UcrConfig sized = ucr;
+      sized.recv_buffers = srq_for(endpoints, ucr.credits_per_ep);
+      node.ucr = std::make_unique<ucr::Runtime>(*node.hca, sized);
+    } else {
+      node.stack = std::make_unique<sock::NetStack>(*sched_, *fabric_, *node.host, stack_costs);
+    }
+    return node;
+  };
 
-  server_ = std::make_unique<mc::Server>(*sched_, *server_host_, config.server);
-
-  if (use_ucr) {
-    const verbs::VerbsCosts hca_costs = verbs_costs(config.cluster, config.transport);
-    server_hca_ =
-        std::make_unique<verbs::Hca>(*sched_, *fabric_, *server_host_, hca_costs);
-    server_ucr_ = std::make_unique<ucr::Runtime>(*server_hca_, config.ucr);
-    server_->attach_ucr_frontend(*server_ucr_);
-    switch (config.client.mode) {
+  // Shards first: NIC addresses follow adapter construction order, and
+  // clients route keys by ketama over each shard's address. A shard's
+  // runtime terminates one endpoint per client.
+  for (unsigned s = 0; s < config_.shards; ++s) {
+    Shard& shard = shards_.emplace_back();
+    shard.node = make_node(s, config_.shards == 1 ? "server" : "mc" + std::to_string(s),
+                           config_.num_clients);
+    shard.server = std::make_unique<mc::Server>(*sched_, *shard.node.host, config_.server);
+    if (!use_ucr) {
+      shard.server->attach_socket_frontend(*shard.node.stack);
+      continue;
+    }
+    shard.server->attach_ucr_frontend(*shard.node.ucr);
+    switch (behavior.mode) {
       case mc::ClientBehavior::Mode::onesided_get:
-        publisher_ = std::make_unique<onesided::Publisher>(*server_ucr_, *server_host_,
-                                                           server_->store());
+        shard.publisher = std::make_unique<onesided::Publisher>(
+            *shard.node.ucr, *shard.node.host, shard.server->store());
         break;
       case mc::ClientBehavior::Mode::rfp:
-        ring_server_ =
-            std::make_unique<rfp::RingServer>(*server_ucr_, *server_host_, *server_);
+        shard.ring_server = std::make_unique<rfp::RingServer>(*shard.node.ucr,
+                                                              *shard.node.host, *shard.server);
         break;
       case mc::ClientBehavior::Mode::rpc:
         break;
     }
-    for (unsigned i = 0; i < config.num_clients; ++i) {
-      client_hcas_.push_back(
-          std::make_unique<verbs::Hca>(*sched_, *fabric_, *client_hosts_[i], hca_costs));
-      client_ucrs_.push_back(std::make_unique<ucr::Runtime>(*client_hcas_[i], config.ucr));
-      auto client = std::make_unique<mc::Client>(*sched_, *client_hosts_[i], config.client);
-      client->add_server_ucr(*client_ucrs_[i], server_ucr_->addr(),
-                             config.server.port);
-      clients_.push_back(std::move(client));
+  }
+
+  // Client hosts: a host's runtime terminates one endpoint per shard for
+  // each client it carries.
+  for (unsigned h = 0; h < client_hosts; ++h) {
+    client_nodes_.push_back(make_node(
+        config_.shards + h,
+        (config_.generators != 0 ? "gen" : "client") + std::to_string(h),
+        clients_per_host * config_.shards));
+  }
+  for (unsigned c = 0; c < config_.num_clients; ++c) {
+    Node& node = client_node(c);
+    auto client = std::make_unique<mc::Client>(*sched_, *node.host, behavior);
+    for (const Shard& shard : shards_) {
+      if (use_ucr) {
+        client->add_server_ucr(*node.ucr, shard.node.ucr->addr(), config_.server.port);
+      } else {
+        client->add_server_socket(*node.stack, shard.node.stack->addr(), config_.server.port);
+      }
     }
-  } else {
-    server_stack_ =
-        std::make_unique<sock::NetStack>(*sched_, *fabric_, *server_host_, stack_costs);
-    server_->attach_socket_frontend(*server_stack_);
-    for (unsigned i = 0; i < config.num_clients; ++i) {
-      client_stacks_.push_back(
-          std::make_unique<sock::NetStack>(*sched_, *fabric_, *client_hosts_[i], stack_costs));
-      auto client = std::make_unique<mc::Client>(*sched_, *client_hosts_[i], config.client);
-      client->add_server_socket(*client_stacks_[i], server_stack_->addr(),
-                                config.server.port);
-      clients_.push_back(std::move(client));
-    }
+    clients_.push_back(std::move(client));
   }
 }
 
 TestBed::~TestBed() = default;
 
 void TestBed::register_client_memory(std::size_t i, std::span<std::byte> memory) {
-  if (i < client_ucrs_.size()) client_ucrs_[i]->register_region(memory);
+  if (Node& node = client_node(i); node.ucr) node.ucr->register_region(memory);
 }
 
 sim::Task<Status> TestBed::connect_all() {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "core/fleetbed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
@@ -30,194 +29,6 @@ std::string_view key_dist_name(KeyDist dist) {
   }
   return "?";
 }
-
-namespace {
-
-const std::uint16_t kProfRun =
-    obs::profiler().register_scope("prof.mc.workload.run", obs::ScopeKind::engine);
-const std::uint16_t kProfFleet =
-    obs::profiler().register_scope("prof.mc.workload.fleet", obs::ScopeKind::engine);
-
-/// Is operation #i of the stream a Set?
-bool is_set_op(OpPattern pattern, std::uint64_t i) {
-  switch (pattern) {
-    case OpPattern::pure_set: return true;
-    case OpPattern::pure_get: return false;
-    case OpPattern::non_interleaved: return i % 100 < 10;  // 10 Sets then 90 Gets
-    case OpPattern::interleaved: return i % 2 == 0;        // 1 Set, 1 Get
-  }
-  return false;
-}
-
-struct ClientState {
-  LatencyHistogram set_latency;
-  LatencyHistogram get_latency;
-  LatencyHistogram all_latency;
-  sim::Time finished_at = 0;
-  std::uint64_t ops = 0;
-  bool failed = false;
-};
-
-/// Shared run flags: the starter task raises connect_failed before waking
-/// the clients, so a failed connect_all drains every task instead of
-/// leaving them suspended on `connected` forever.
-struct RunFlags {
-  bool connect_failed = false;
-};
-
-sim::Task<> client_task(TestBed& bed, const WorkloadConfig& config, std::size_t index,
-                        std::span<std::byte> value, sim::Event& connected,
-                        sim::Counter& ready, sim::Event& start, const RunFlags& flags,
-                        ClientState& state) {
-  // rmclint:allow(coro-lifetime): every referenced object lives in run_workload's
-  // frame, which blocks in sched.run() until all client tasks signal `ready`.
-  mc::Client& client = bed.client(index);
-  sim::Scheduler& sched = bed.scheduler();
-  co_await connected.wait();
-  if (flags.connect_failed) {
-    // connect_all failed: exit cleanly (and keep the start barrier
-    // honest) instead of waiting on a start that would never fire.
-    state.failed = true;
-    state.finished_at = sched.now();
-    ready.add();
-    co_return;
-  }
-
-  // Populate this client's key set (untimed warm-up; also the warm path
-  // for connection buffers and the server's slab classes).
-  std::vector<std::string> keys;
-  keys.reserve(config.keys_per_client);
-  for (std::uint32_t k = 0; k < config.keys_per_client; ++k) {
-    keys.push_back("c" + std::to_string(index) + ":k" + std::to_string(k));
-  }
-  for (const auto& key : keys) {
-    auto st = co_await client.set(key, value);
-    if (!st.ok()) {
-      RMC_LOG_ERROR("workload: populate failed on %s: %s", key.c_str(),
-                    std::string(to_string(st.error())).c_str());
-      state.failed = true;
-      state.finished_at = sched.now();
-      ready.add();
-      co_return;
-    }
-  }
-
-  // Synchronized start: all clients fire together (Fig. 6 semantics).
-  ready.add();
-  co_await start.wait();
-
-  Rng rng(config.seed * 1000003 + index);
-  for (std::uint64_t i = 0; i < config.ops_per_client; ++i) {
-    const std::string& key = keys[rng.below(keys.size())];
-    const sim::Time begin = sched.now();
-    if (is_set_op(config.pattern, i)) {
-      auto st = co_await client.set(key, value);
-      if (!st.ok()) {
-        state.failed = true;
-        state.finished_at = sched.now();
-        co_return;
-      }
-      const sim::Time lat = sched.now() - begin;
-      state.set_latency.record(lat);
-      state.all_latency.record(lat);
-    } else {
-      auto got = co_await client.get(key);
-      if (!got.ok()) {
-        state.failed = true;
-        state.finished_at = sched.now();
-        co_return;
-      }
-      const sim::Time lat = sched.now() - begin;
-      state.get_latency.record(lat);
-      state.all_latency.record(lat);
-    }
-    ++state.ops;
-  }
-  state.finished_at = sched.now();
-}
-
-}  // namespace
-
-WorkloadResult run_workload(TestBed& bed, const WorkloadConfig& config) {
-  sim::Scheduler& sched = bed.scheduler();
-  const std::size_t n = bed.client_count();
-
-  // One value buffer per client, registered for zero-copy rendezvous.
-  std::vector<std::vector<std::byte>> values(n);
-  Rng rng(config.seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i].resize(std::max<std::uint32_t>(1, config.value_size));
-    for (auto& b : values[i]) b = static_cast<std::byte>(rng() & 0xff);
-    bed.register_client_memory(i, values[i]);
-  }
-
-  std::vector<ClientState> states(n);
-  sim::Event connected(sched);
-  sim::Counter ready(sched);
-  sim::Event start(sched);
-  sim::Time start_time = 0;
-  RunFlags flags;
-
-  sched.spawn([](TestBed& tb, sim::Event& conn_ev, sim::Counter& ready_ctr, sim::Event& start_ev,
-                 std::size_t clients, sim::Time& t0, RunFlags& fl) -> sim::Task<> {
-    // rmclint:allow(coro-lifetime): all arguments live in run_workload's frame,
-    // which blocks in sched.run() until this starter and every client finish.
-    auto st = co_await tb.connect_all();
-    if (!st.ok()) {
-      RMC_LOG_ERROR("workload: connect failed: %s",
-                    std::string(to_string(st.error())).c_str());
-      // Wake the clients anyway: they check connect_failed and drain, so
-      // the run terminates instead of hanging inside sched.run().
-      fl.connect_failed = true;
-    }
-    conn_ev.set();
-    co_await ready_ctr.wait_geq(clients);
-    t0 = tb.scheduler().now();
-    start_ev.set();
-  }(bed, connected, ready, start, n, start_time, flags));
-
-  for (std::size_t i = 0; i < n; ++i) {
-    sched.spawn(
-        client_task(bed, config, i, values[i], connected, ready, start, flags, states[i]));
-  }
-  {
-    // Root of the drive loop: every dispatched event nests under it, so
-    // the gap between this node's wall time and its children's is the
-    // scheduler's own bookkeeping (heap ops, slot recycling).
-    obs::ProfScope prof{kProfRun};
-    sched.run();
-  }
-
-  // Aggregate every client — including the ones that failed mid-run.
-  // Their partial ops and histograms stay in the totals and their finish
-  // times extend the window, so a lossy run reports the loss explicitly
-  // instead of silently inflating per-client throughput.
-  WorkloadResult result;
-  result.connect_failed = flags.connect_failed;
-  sim::Time last_finish = start_time;
-  for (auto& state : states) {
-    if (state.failed) {
-      ++result.failed_clients;
-      result.failed_client_ops += state.ops;
-    }
-    result.set_latency.merge(state.set_latency);
-    result.get_latency.merge(state.get_latency);
-    result.all_latency.merge(state.all_latency);
-    result.total_ops += state.ops;
-    last_finish = std::max(last_finish, state.finished_at);
-  }
-  if (result.failed_clients != 0) {
-    RMC_LOG_WARN("workload: %llu/%zu clients failed (%llu partial ops kept)",
-                 static_cast<unsigned long long>(result.failed_clients), states.size(),
-                 static_cast<unsigned long long>(result.failed_client_ops));
-  }
-  result.elapsed = last_finish - start_time;
-  return result;
-}
-
-// ===================================================================
-// Fleet workload library
-// ===================================================================
 
 namespace {
 
@@ -304,284 +115,367 @@ std::byte fleet_value_byte(std::uint64_t index) {
 
 namespace {
 
-/// Per-op-kind registry timers (mc.fleet.get / mc.fleet.set /
-/// mc.fleet.mget): the registry's percentile synthesis turns these into
-/// the per-op p99 the fleet report quotes.
-struct FleetTimers {
-  obs::Timer* get = &obs::registry().timer("mc.fleet.get");
-  obs::Timer* set = &obs::registry().timer("mc.fleet.set");
-  obs::Timer* mget = &obs::registry().timer("mc.fleet.mget");
-};
+const std::uint16_t kProfRun =
+    obs::profiler().register_scope("prof.mc.workload.run", obs::ScopeKind::engine);
 
-struct FleetClientState {
-  LatencyHistogram get_latency;
-  LatencyHistogram set_latency;
-  LatencyHistogram mget_latency;
-  LatencyHistogram all_latency;
-  std::uint64_t gets = 0, sets = 0, mgets = 0, dels = 0;
-  std::uint64_t hits = 0, misses = 0, errors = 0;
-  std::uint64_t value_mismatches = 0;
-  std::uint64_t ops = 0;
+/// A client gives up after this many failed ops: one unreachable shard
+/// bounds its run without stopping its traffic to the healthy ones.
+constexpr std::uint64_t kAbortAfterErrors = 16;
+
+/// The private key set of each client in a figure workload.
+constexpr std::uint64_t kKeysPerClient = 8;
+
+enum class OpKind : std::uint8_t { get, set, mget, del };
+
+/// One client's part of a run: its SET payload, the keys of the op in
+/// hand, and what the failure policy needs to know about it.
+struct ClientState {
+  std::vector<std::byte> value;
+  std::vector<std::uint64_t> keys;  ///< key ids of the op in hand
+  std::vector<std::string> names;   ///< their names on the wire
+  std::vector<std::size_t> shards;  ///< the shard each one routes to
+  std::uint32_t ttl = 0;            ///< of the SET in hand
+  std::uint64_t ops = 0;            ///< completed
+  std::uint64_t errors = 0;
   sim::Time finished_at = 0;
   bool failed = false;
-};
 
-/// Per-shard tallies shared by all client tasks (single-threaded sim:
-/// plain increments, no contention, deterministic sums).
-struct FleetShardTallies {
-  std::vector<std::uint64_t> ops, hits, misses;
-  explicit FleetShardTallies(std::size_t shards)
-      : ops(shards, 0), hits(shards, 0), misses(shards, 0) {}
-};
-
-struct FleetRunFlags {
-  bool connect_failed = false;
-};
-
-/// True when the value bytes match the deterministic per-key encoding —
-/// the torn/corrupt-value check of the eviction-storm scenario.
-bool value_intact(std::uint64_t index, std::span<const std::byte> data) {
-  const std::byte expect = fleet_value_byte(index);
-  for (const std::byte b : data) {
-    if (b != expect) return false;
+  /// Make `key` the one key of the op in hand.
+  void stage(std::uint64_t key, std::string name) {
+    keys.assign(1, key);
+    names.assign(1, std::move(name));
   }
-  return true;
-}
+};
 
-sim::Task<> fleet_client_task(FleetBed& bed, const FleetWorkloadConfig& config,
-                              const KeySampler& sampler, FleetTimers& timers,
-                              std::size_t index, sim::Event& connected,
-                              sim::Counter& ready, sim::Event& start,
-                              const FleetRunFlags& flags, FleetShardTallies& shards,
-                              FleetClientState& state) {
-  // rmclint:allow(coro-lifetime): every referenced object lives in run_fleet's
-  // frame, which blocks in sched.run() until all fleet tasks signal `ready`.
+/// An op-stream generator: each client's populate set, its ops in a fixed
+/// RNG draw order, and what every value read back must hold.
+class OpStream {
+ public:
+  OpStream(std::uint64_t ops_per_client, std::uint64_t seed)
+      : ops_per_client_(ops_per_client), seed_(seed) {}
+
+  std::uint64_t ops_per_client() const { return ops_per_client_; }
+  std::uint64_t seed() const { return seed_; }
+  /// Stage client c's k-th populate SET in s (key and value); false once
+  /// its populate set is done.
+  virtual bool populate(std::size_t c, std::uint64_t k, ClientState& s) const = 0;
+  /// Draw client c's op #i into s: its keys and, for a SET, value and TTL.
+  virtual OpKind draw(Rng& rng, std::size_t c, std::uint64_t i, sim::Time now,
+                      ClientState& s) const = 0;
+  /// Does `got`, read back for key #j of the op in hand, hold what was written?
+  virtual bool intact(const ClientState& s, std::size_t j,
+                      std::span<const std::byte> got) const = 0;
+
+ protected:
+  ~OpStream() = default;
+
+ private:
+  std::uint64_t ops_per_client_;
+  std::uint64_t seed_;
+};
+
+/// The §VI instruction mixes: uniform picks over a private key set, one
+/// RNG draw per op, and each client's own value buffer for every key.
+class PatternStream final : public OpStream {
+ public:
+  explicit PatternStream(const WorkloadConfig& config)
+      : OpStream(config.ops_per_client, config.seed), pattern_(config.pattern) {}
+
+  bool populate(std::size_t c, std::uint64_t k, ClientState& s) const override {
+    if (k == kKeysPerClient) return false;
+    s.stage(k, name(c, k));
+    return true;
+  }
+  OpKind draw(Rng& rng, std::size_t c, std::uint64_t i, sim::Time,
+              ClientState& s) const override {
+    const std::uint64_t k = rng.below(kKeysPerClient);
+    s.stage(k, name(c, k));
+    return is_set_op(i) ? OpKind::set : OpKind::get;
+  }
+  bool intact(const ClientState& s, std::size_t,
+              std::span<const std::byte> got) const override {
+    return std::ranges::equal(got, s.value);
+  }
+
+ private:
+  static std::string name(std::size_t c, std::uint64_t k) {
+    return "c" + std::to_string(c) + ":k" + std::to_string(k);
+  }
+  /// Is operation #i of the stream a Set?
+  bool is_set_op(std::uint64_t i) const {
+    switch (pattern_) {
+      case OpPattern::pure_set: return true;
+      case OpPattern::pure_get: return false;
+      case OpPattern::non_interleaved: return i % 100 < 10;  // 10 Sets then 90 Gets
+      case OpPattern::interleaved: return i % 2 == 0;        // 1 Set, 1 Get
+    }
+    return false;
+  }
+
+  OpPattern pattern_;
+};
+
+/// The fleet mixes: each op draws its kind, then its key or keys from the
+/// shared key space, then (a SET) its TTL chance. Every byte of a key's
+/// value is fleet_value_byte(key).
+class MixStream final : public OpStream {
+ public:
+  MixStream(const FleetWorkloadConfig& config, std::size_t clients)
+      : OpStream(config.ops_per_client, config.seed),
+        config_(config),
+        sampler_(config),
+        clients_(clients),
+        weight_total_(std::max<std::uint64_t>(
+            1, std::uint64_t{config.get_weight} + config.set_weight + config.mget_weight +
+                   config.del_weight)) {}
+
+  /// Client c writes its stripe of the key space: c, c + clients, ...
+  bool populate(std::size_t c, std::uint64_t k, ClientState& s) const override {
+    const std::uint64_t key = c + k * clients_;
+    if (!config_.populate || key >= config_.key_space) return false;
+    s.stage(key, fleet_key(key));
+    std::ranges::fill(s.value, fleet_value_byte(key));
+    return true;
+  }
+  OpKind draw(Rng& rng, std::size_t, std::uint64_t, sim::Time now,
+              ClientState& s) const override {
+    const std::uint64_t pick = rng.below(weight_total_);
+    OpKind kind = OpKind::del;
+    std::uint32_t width = 1;
+    if (pick < config_.get_weight) {
+      kind = OpKind::get;
+    } else if (pick < config_.get_weight + config_.set_weight) {
+      kind = OpKind::set;
+    } else if (pick < config_.get_weight + config_.set_weight + config_.mget_weight) {
+      kind = OpKind::mget;  // one client call, keys spread across shards
+      width = std::max<std::uint32_t>(1, config_.mget_width);
+    }
+    s.keys.clear();
+    s.names.clear();
+    for (std::uint32_t k = 0; k < width; ++k) {
+      s.keys.push_back(sampler_.sample(rng, now));
+      s.names.push_back(fleet_key(s.keys.back()));
+    }
+    if (kind == OpKind::set) {
+      // Optionally with a short TTL: the churn knob.
+      const bool ttl = config_.ttl_set_fraction > 0.0 && rng.chance(config_.ttl_set_fraction);
+      s.ttl = ttl ? config_.ttl_seconds : 0;
+      std::ranges::fill(s.value, fleet_value_byte(s.keys[0]));
+    }
+    return kind;
+  }
+  bool intact(const ClientState& s, std::size_t j,
+              std::span<const std::byte> got) const override {
+    const std::byte expect = fleet_value_byte(s.keys[j]);
+    return std::ranges::all_of(got, [expect](std::byte b) { return b == expect; });
+  }
+
+ private:
+  const FleetWorkloadConfig& config_;
+  KeySampler sampler_;
+  std::size_t clients_;
+  std::uint64_t weight_total_;
+};
+
+/// What every task of one run shares: the barriers, the client states and
+/// the result, which every client tallies into as its ops complete.
+struct Run {
+  Run(sim::Scheduler& sched, std::vector<ClientState> states, std::size_t shards)
+      : connected(sched), ready(sched), start(sched), clients(std::move(states)) {
+    result.shards.resize(shards);
+  }
+
+  /// Count a failed op of client s; true once s gives up.
+  bool give_up(ClientState& s, sim::Time now) {
+    ++result.errors;
+    if (++s.errors < kAbortAfterErrors) return false;
+    s.failed = true;
+    s.finished_at = now;
+    return true;
+  }
+
+  sim::Event connected;
+  sim::Counter ready;
+  sim::Event start;
+  sim::Time start_time = 0;
+  /// Raised by the starter before it wakes the clients, so a failed
+  /// connect_all drains every task instead of leaving them suspended.
+  bool connect_failed = false;
+  std::vector<ClientState> clients;
+  WorkloadResult result;
+  /// Per-op-kind registry timers: the registry's percentile synthesis
+  /// turns these into the per-op p99 the fleet report quotes.
+  obs::Timer* get_timer = &obs::registry().timer("mc.fleet.get");
+  obs::Timer* set_timer = &obs::registry().timer("mc.fleet.set");
+  obs::Timer* mget_timer = &obs::registry().timer("mc.fleet.mget");
+};
+
+sim::Task<> client_task(TestBed& bed, const OpStream& stream, Run& run, std::size_t index) {
+  // rmclint:allow(coro-lifetime): every referenced object lives in drive()'s
+  // frame, which blocks in sched.run() until all client tasks finish.
   mc::Client& client = bed.client(index);
   sim::Scheduler& sched = bed.scheduler();
-  const std::size_t n_clients = bed.client_count();
-  co_await connected.wait();
-  if (flags.connect_failed) {
-    state.failed = true;
-    state.finished_at = sched.now();
-    ready.add();
+  ClientState& s = run.clients[index];
+  WorkloadResult& r = run.result;
+  co_await run.connected.wait();
+  if (run.connect_failed) {
+    // connect_all failed: exit cleanly (and keep the start barrier
+    // honest) instead of waiting on a start that would never fire.
+    s.failed = true;
+    s.finished_at = sched.now();
+    run.ready.add();
     co_return;
   }
 
-  std::vector<std::byte> value(std::max<std::uint32_t>(1, config.value_size));
-  auto fill_value = [&value](std::uint64_t idx) {
-    std::fill(value.begin(), value.end(), fleet_value_byte(idx));
-  };
-
-  // Populate this client's stripe of the shared key space (untimed).
-  if (config.populate) {
-    for (std::uint64_t idx = index; idx < config.key_space; idx += n_clients) {
-      fill_value(idx);
-      auto st = co_await client.set(fleet_key(idx), value);
-      if (!st.ok() && ++state.errors >= config.abort_after_errors) {
-        state.failed = true;
-        state.finished_at = sched.now();
-        ready.add();
-        co_return;
-      }
+  // Populate this client's keys (untimed warm-up; also the warm path for
+  // connection buffers and the server's slab classes).
+  for (std::uint64_t k = 0; stream.populate(index, k, s); ++k) {
+    const Status st = co_await client.set(s.names[0], s.value);
+    if (!st.ok() && run.give_up(s, sched.now())) {
+      run.ready.add();
+      co_return;
     }
   }
 
-  ready.add();
-  co_await start.wait();
+  // Synchronized start: all clients fire together (Fig. 6 semantics).
+  run.ready.add();
+  co_await run.start.wait();
 
-  Rng rng(config.seed * 1000003 + index);
-  const std::uint64_t weight_total =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(config.get_weight) +
-                                     config.set_weight + config.mget_weight +
-                                     config.del_weight);
-  std::vector<std::string> mget_keys;
-  std::vector<std::size_t> mget_shards;
-
-  for (std::uint64_t i = 0; i < config.ops_per_client; ++i) {
-    const std::uint64_t pick = rng.below(weight_total);
+  Rng rng(stream.seed() * 1000003 + index);
+  for (std::uint64_t i = 0; i < stream.ops_per_client(); ++i) {
     const sim::Time begin = sched.now();
-    bool op_failed = false;
+    const OpKind kind = stream.draw(rng, index, i, begin, s);
+    s.shards.clear();
+    for (const std::string& name : s.names) s.shards.push_back(client.server_index(name));
 
-    if (pick < config.get_weight) {
-      // ---- GET ----
-      const std::uint64_t idx = sampler.sample(rng, sched.now());
-      const std::string key = fleet_key(idx);
-      const std::size_t shard = client.server_index(key);
-      auto got = co_await client.get(key);
-      const sim::Time lat = sched.now() - begin;
-      if (got.ok()) {
-        ++state.hits;
-        ++shards.hits[shard];
-        if (!value_intact(idx, got->data)) ++state.value_mismatches;
-      } else if (got.error() == Errc::not_found) {
-        ++state.misses;
-        ++shards.misses[shard];
+    // Tally key #j of a lookup: a hit (checked against what was written)
+    // or, when `got` is null, a miss.
+    auto account = [&](std::size_t j, const mc::proto::Value* got) {
+      ShardStats& shard = r.shards[s.shards[j]];
+      if (got != nullptr) {
+        ++r.hits;
+        ++shard.hits;
+        if (!stream.intact(s, j, got->data)) ++r.value_mismatches;
       } else {
-        op_failed = true;
+        ++r.misses;
+        ++shard.misses;
       }
-      if (!op_failed) {
-        ++state.gets;
-        ++shards.ops[shard];
-        state.get_latency.record(lat);
-        state.all_latency.record(lat);
-        timers.get->record(lat);
+    };
+    bool ok = true;
+    switch (kind) {
+      case OpKind::get: {
+        auto got = co_await client.get(s.names[0]);
+        ok = got.ok() || got.error() == Errc::not_found;
+        if (ok) account(0, got.ok() ? &*got : nullptr);
+        break;
       }
-    } else if (pick < config.get_weight + config.set_weight) {
-      // ---- SET (optionally with a short TTL: the churn knob) ----
-      const std::uint64_t idx = sampler.sample(rng, sched.now());
-      const std::string key = fleet_key(idx);
-      const std::size_t shard = client.server_index(key);
-      const bool ttl = config.ttl_set_fraction > 0.0 && rng.chance(config.ttl_set_fraction);
-      fill_value(idx);
-      auto st = co_await client.set(key, value, 0, ttl ? config.ttl_seconds : 0);
-      const sim::Time lat = sched.now() - begin;
-      if (st.ok()) {
-        ++state.sets;
-        ++shards.ops[shard];
-        state.set_latency.record(lat);
-        state.all_latency.record(lat);
-        timers.set->record(lat);
-      } else {
-        op_failed = true;
-      }
-    } else if (pick < config.get_weight + config.set_weight + config.mget_weight) {
-      // ---- multiget fan-out: one client call, keys spread across shards ----
-      const std::uint32_t width = std::max<std::uint32_t>(1, config.mget_width);
-      mget_keys.clear();
-      mget_shards.clear();
-      for (std::uint32_t k = 0; k < width; ++k) {
-        const std::uint64_t idx = sampler.sample(rng, sched.now());
-        mget_keys.push_back(fleet_key(idx));
-        mget_shards.push_back(client.server_index(mget_keys.back()));
-      }
-      auto r = co_await client.mget(mget_keys);
-      const sim::Time lat = sched.now() - begin;
-      if (r.ok()) {
-        ++state.mgets;
-        for (std::size_t k = 0; k < mget_keys.size(); ++k) {
-          ++shards.ops[mget_shards[k]];
-          if ((*r)[k].has_value()) {
-            ++state.hits;
-            ++shards.hits[mget_shards[k]];
-          } else {
-            ++state.misses;
-            ++shards.misses[mget_shards[k]];
-          }
+      case OpKind::set:
+        ok = (co_await client.set(s.names[0], s.value, 0, s.ttl)).ok();
+        break;
+      case OpKind::mget: {
+        auto got = co_await client.mget(s.names);
+        ok = got.ok();
+        for (std::size_t j = 0; ok && j < got->size(); ++j) {
+          account(j, (*got)[j] ? &*(*got)[j] : nullptr);
         }
-        state.mget_latency.record(lat);
-        state.all_latency.record(lat);
-        timers.mget->record(lat);
-      } else {
-        op_failed = true;
+        break;
       }
-    } else {
-      // ---- DELETE ----
-      const std::uint64_t idx = sampler.sample(rng, sched.now());
-      const std::string key = fleet_key(idx);
-      const std::size_t shard = client.server_index(key);
-      auto st = co_await client.del(key);
-      const sim::Time lat = sched.now() - begin;
-      if (st.ok() || st.error() == Errc::not_found) {
-        ++state.dels;
-        ++shards.ops[shard];
-        state.all_latency.record(lat);
-      } else {
-        op_failed = true;
+      case OpKind::del: {
+        const Status st = co_await client.del(s.names[0]);
+        ok = st.ok() || st.error() == Errc::not_found;
+        break;
       }
     }
-
-    if (op_failed) {
-      if (++state.errors >= config.abort_after_errors) {
-        state.failed = true;
-        state.finished_at = sched.now();
-        co_return;
-      }
-    } else {
-      ++state.ops;
+    if (!ok) {
+      if (run.give_up(s, sched.now())) co_return;
+      continue;
     }
 
-    if (config.think_time != 0) {
-      // Jittered pacing: half-to-1.5x the nominal think time, so clients
-      // do not march in lockstep (deterministic per seed regardless).
-      co_await sched.delay(config.think_time / 2 + rng.below(config.think_time + 1));
+    const sim::Time lat = sched.now() - begin;
+    ++s.ops;
+    ++r.total_ops;
+    for (const std::size_t shard : s.shards) ++r.shards[shard].ops;
+    r.all_latency.record(lat);
+    switch (kind) {
+      case OpKind::get:
+        ++r.gets;
+        r.get_latency.record(lat);
+        run.get_timer->record(lat);
+        break;
+      case OpKind::set:
+        ++r.sets;
+        r.set_latency.record(lat);
+        run.set_timer->record(lat);
+        break;
+      case OpKind::mget:
+        ++r.mgets;
+        r.mget_latency.record(lat);
+        run.mget_timer->record(lat);
+        break;
+      case OpKind::del:
+        ++r.dels;
+        break;
     }
   }
-  state.finished_at = sched.now();
+  s.finished_at = sched.now();
 }
 
-}  // namespace
-
-FleetResult run_fleet(FleetBed& bed, const FleetWorkloadConfig& config) {
+/// The closed loop: connect, let every client populate, start them
+/// together, run the streams to completion, aggregate and publish.
+WorkloadResult drive(TestBed& bed, const OpStream& stream, std::vector<ClientState> states) {
   sim::Scheduler& sched = bed.scheduler();
-  const std::size_t n = bed.client_count();
+  const std::size_t n = states.size();
   const std::size_t shards = bed.shard_count();
-
-  std::vector<FleetClientState> states(n);
-  FleetShardTallies tallies(shards);
-  FleetTimers timers;
-  KeySampler sampler(config);
-  sim::Event connected(sched);
-  sim::Counter ready(sched);
-  sim::Event start(sched);
-  sim::Time start_time = 0;
-  FleetRunFlags flags;
-
+  Run run(sched, std::move(states), shards);
   std::vector<std::uint64_t> evictions_before(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    evictions_before[s] = bed.shard(s).store().stats().evictions;
+  for (std::size_t sh = 0; sh < shards; ++sh) {
+    evictions_before[sh] = bed.server(sh).store().stats().evictions;
   }
 
-  sched.spawn([](FleetBed& fb, sim::Event& conn_ev, sim::Counter& ready_ctr,
-                 sim::Event& start_ev, std::size_t clients, sim::Time& t0,
-                 FleetRunFlags& fl) -> sim::Task<> {
-    // rmclint:allow(coro-lifetime): all arguments live in run_fleet's frame,
-    // which blocks in sched.run() until this starter and every client finish.
-    auto st = co_await fb.connect_all();
+  sched.spawn([](TestBed& tb, Run& r, std::size_t clients) -> sim::Task<> {
+    // rmclint:allow(coro-lifetime): both live in drive()'s frame, which
+    // blocks in sched.run() until this starter and every client finish.
+    auto st = co_await tb.connect_all();
     if (!st.ok()) {
-      RMC_LOG_ERROR("fleet: connect failed: %s",
+      RMC_LOG_ERROR("workload: connect failed: %s",
                     std::string(to_string(st.error())).c_str());
-      fl.connect_failed = true;
+      // Wake the clients anyway: they check connect_failed and drain, so
+      // the run terminates instead of hanging inside sched.run().
+      r.connect_failed = true;
     }
-    conn_ev.set();
-    co_await ready_ctr.wait_geq(clients);
-    t0 = fb.scheduler().now();
-    start_ev.set();
-  }(bed, connected, ready, start, n, start_time, flags));
-
-  for (std::size_t i = 0; i < n; ++i) {
-    sched.spawn(fleet_client_task(bed, config, sampler, timers, i, connected, ready,
-                                  start, flags, tallies, states[i]));
-  }
+    r.connected.set();
+    co_await r.ready.wait_geq(clients);
+    r.start_time = tb.scheduler().now();
+    r.start.set();
+  }(bed, run, n));
+  for (std::size_t i = 0; i < n; ++i) sched.spawn(client_task(bed, stream, run, i));
   {
-    obs::ProfScope prof{kProfFleet};
+    // Root of the drive loop: every dispatched event nests under it, so
+    // the gap between this node's wall time and its children's is the
+    // scheduler's own bookkeeping (heap ops, slot recycling).
+    obs::ProfScope prof{kProfRun};
     sched.run();
   }
 
-  FleetResult result;
-  result.connect_failed = flags.connect_failed;
-  result.shards.resize(shards);
-  sim::Time last_finish = start_time;
-  for (auto& state : states) {
-    if (state.failed) ++result.failed_clients;
-    result.get_latency.merge(state.get_latency);
-    result.set_latency.merge(state.set_latency);
-    result.mget_latency.merge(state.mget_latency);
-    result.all_latency.merge(state.all_latency);
-    result.gets += state.gets;
-    result.sets += state.sets;
-    result.mgets += state.mgets;
-    result.dels += state.dels;
-    result.hits += state.hits;
-    result.misses += state.misses;
-    result.errors += state.errors;
-    result.value_mismatches += state.value_mismatches;
-    result.total_ops += state.ops;
-    last_finish = std::max(last_finish, state.finished_at);
+  // Every client's ops are in the result — including those of clients
+  // that failed mid-run. Their finish times extend the window too, so a
+  // lossy run reports the loss explicitly instead of silently inflating
+  // per-client throughput.
+  WorkloadResult& result = run.result;
+  result.connect_failed = run.connect_failed;
+  sim::Time last_finish = run.start_time;
+  for (const ClientState& s : run.clients) {
+    if (s.failed) {
+      ++result.failed_clients;
+      result.failed_client_ops += s.ops;
+    }
+    last_finish = std::max(last_finish, s.finished_at);
   }
-  result.elapsed = last_finish - start_time;
+  result.elapsed = last_finish - run.start_time;
   if (result.failed_clients != 0) {
-    RMC_LOG_WARN("fleet: %llu/%zu clients failed",
-                 static_cast<unsigned long long>(result.failed_clients), states.size());
+    RMC_LOG_WARN("workload: %llu/%zu clients failed (%llu partial ops kept)",
+                 static_cast<unsigned long long>(result.failed_clients), n,
+                 static_cast<unsigned long long>(result.failed_client_ops));
   }
 
   // Publish the run into the registry: aggregates, then the per-shard
@@ -595,19 +489,38 @@ FleetResult run_fleet(FleetBed& bed, const FleetWorkloadConfig& config) {
   reg.counter("mc.fleet.value_mismatches").inc(result.value_mismatches);
   reg.gauge("mc.fleet.hit_ratio_ppm")
       .set(static_cast<std::int64_t>(result.hit_ratio() * 1e6));
-  for (std::size_t s = 0; s < shards; ++s) {
-    FleetShardStats& sh = result.shards[s];
-    sh.ops = tallies.ops[s];
-    sh.hits = tallies.hits[s];
-    sh.misses = tallies.misses[s];
-    sh.evictions = bed.shard(s).store().stats().evictions - evictions_before[s];
-    const std::string prefix = "mc.fleet.shard." + std::to_string(s);
-    reg.counter(prefix + ".ops").inc(sh.ops);
-    reg.counter(prefix + ".hits").inc(sh.hits);
-    reg.counter(prefix + ".misses").inc(sh.misses);
-    reg.counter(prefix + ".evictions").inc(sh.evictions);
+  for (std::size_t sh = 0; sh < shards; ++sh) {
+    ShardStats& stats = result.shards[sh];
+    stats.evictions = bed.server(sh).store().stats().evictions - evictions_before[sh];
+    const std::string prefix = "mc.fleet.shard." + std::to_string(sh);
+    reg.counter(prefix + ".ops").inc(stats.ops);
+    reg.counter(prefix + ".hits").inc(stats.hits);
+    reg.counter(prefix + ".misses").inc(stats.misses);
+    reg.counter(prefix + ".evictions").inc(stats.evictions);
   }
-  return result;
+  return std::move(result);
+}
+
+}  // namespace
+
+WorkloadResult run_workload(TestBed& bed, const WorkloadConfig& config) {
+  // One value buffer per client, registered for zero-copy rendezvous.
+  std::vector<ClientState> states(bed.client_count());
+  Rng rng(config.seed);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    std::vector<std::byte>& value = states[i].value;
+    value.resize(std::max<std::uint32_t>(1, config.value_size));
+    for (auto& b : value) b = static_cast<std::byte>(rng() & 0xff);
+    bed.register_client_memory(i, value);
+  }
+  return drive(bed, PatternStream(config), std::move(states));
+}
+
+WorkloadResult run_fleet(TestBed& bed, const FleetWorkloadConfig& config) {
+  const MixStream stream(config, bed.client_count());
+  std::vector<ClientState> states(bed.client_count());
+  for (ClientState& s : states) s.value.resize(std::max<std::uint32_t>(1, config.value_size));
+  return drive(bed, stream, std::move(states));
 }
 
 }  // namespace rmc::core

@@ -15,7 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/fleetbed.hpp"
+#include "core/testbed.hpp"
 #include "core/workload.hpp"
 #include "onesided/layout.hpp"
 #include "simnet/explore.hpp"
@@ -447,11 +447,11 @@ TEST(ExploreTest, OnesidedWriterVsReaderNeverSurfacesTornValues) {
 // ------------------------------------------------------- fleet smoke test
 
 TEST(ExploreTest, PermutationFleetSmokeHasZeroTornValues) {
-  core::FleetBedConfig bed_config;
+  core::TestBedConfig bed_config;
+  bed_config.num_clients = 8;
   bed_config.shards = 2;
-  bed_config.clients = 8;
   bed_config.generators = 2;
-  core::FleetBed bed(bed_config);
+  core::TestBed bed(bed_config);
 
   // Permute every same-timestamp tie for the whole fleet run. Traces of a
   // multi-million-event run are useless — record off, the seed replays it.
@@ -463,7 +463,7 @@ TEST(ExploreTest, PermutationFleetSmokeHasZeroTornValues) {
   workload.key_space = 256;
   workload.ops_per_client = 25;
   workload.seed = 11;
-  const core::FleetResult result = core::run_fleet(bed, workload);
+  const core::WorkloadResult result = core::run_fleet(bed, workload);
 
   EXPECT_FALSE(result.connect_failed);
   EXPECT_GT(result.total_ops, 0u);

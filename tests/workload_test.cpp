@@ -14,7 +14,7 @@
 #include <span>
 #include <string>
 
-#include "core/fleetbed.hpp"
+#include "core/testbed.hpp"
 #include "core/workload.hpp"
 #include "memcached/server.hpp"
 #include "obs/metrics.hpp"
@@ -109,10 +109,10 @@ TEST(FleetKeyTest, EncodingIsStable) {
 
 // -------------------------------------------------------- fleet engine
 
-FleetBedConfig small_fleet() {
-  FleetBedConfig config;
+TestBedConfig small_fleet() {
+  TestBedConfig config;
+  config.num_clients = 8;
   config.shards = 2;
-  config.clients = 8;
   config.generators = 2;
   return config;
 }
@@ -124,14 +124,14 @@ TEST(FleetWorkloadTest, DeterministicPerSeedAndAccountingConsistent) {
   workload.seed = 11;
 
   const auto run_once = [&](std::uint64_t seed) {
-    FleetBed bed(small_fleet());
+    TestBed bed(small_fleet());
     FleetWorkloadConfig w = workload;
     w.seed = seed;
     return run_fleet(bed, w);
   };
 
-  const FleetResult a = run_once(11);
-  const FleetResult b = run_once(11);
+  const WorkloadResult a = run_once(11);
+  const WorkloadResult b = run_once(11);
   EXPECT_EQ(a.total_ops, b.total_ops);
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.misses, b.misses);
@@ -142,7 +142,7 @@ TEST(FleetWorkloadTest, DeterministicPerSeedAndAccountingConsistent) {
     EXPECT_EQ(a.shards[s].hits, b.shards[s].hits) << "shard " << s;
   }
 
-  const FleetResult c = run_once(12);
+  const WorkloadResult c = run_once(12);
   EXPECT_TRUE(c.elapsed != a.elapsed || c.hits != a.hits ||
               c.shards[0].ops != a.shards[0].ops)
       << "a different seed must change the run";
@@ -161,11 +161,11 @@ TEST(FleetWorkloadTest, DeterministicPerSeedAndAccountingConsistent) {
 }
 
 TEST(FleetWorkloadTest, EvictionStormEvictsWithoutTornValues) {
-  FleetBedConfig bed_config = small_fleet();
+  TestBedConfig bed_config = small_fleet();
   // Slab budget (2 x 1 MiB pages per shard) far below the working set:
   // ~8192 keys x ~900-byte chunks split across 2 shards is ~3.7 MiB each.
   bed_config.server.store.slabs.memory_limit = 2 * 1024 * 1024;
-  FleetBed bed(bed_config);
+  TestBed bed(bed_config);
 
   FleetWorkloadConfig storm;
   storm.dist = KeyDist::uniform;
@@ -179,7 +179,7 @@ TEST(FleetWorkloadTest, EvictionStormEvictsWithoutTornValues) {
   storm.seed = 3;
 
   const std::uint64_t evictions_before = metric("mc.store.evictions");
-  const FleetResult r = run_fleet(bed, storm);
+  const WorkloadResult r = run_fleet(bed, storm);
 
   std::uint64_t evictions = 0;
   for (const auto& s : r.shards) evictions += s.evictions;
@@ -191,6 +191,70 @@ TEST(FleetWorkloadTest, EvictionStormEvictsWithoutTornValues) {
   EXPECT_GT(r.hits, 0u);
   EXPECT_GT(r.misses, 0u) << "evicted keys should produce misses";
   EXPECT_EQ(r.value_mismatches, 0u) << "surviving hits must carry intact bytes";
+}
+
+// ------------------------------------------------- one bed, every mode
+
+// One wiring path builds every shape: each cell runs a fleet mix and must
+// come back clean, with its ops served by its mode's own path — a bypass
+// that quietly degrades to RPC fails here. 2 shards × 8 clients on 2
+// generators in onesided_get used to build no Publisher and serve every
+// GET over RPC.
+TEST(OneBedTest, EveryModeServesItsOwnPathOnEveryShape) {
+  using Mode = mc::ClientBehavior::Mode;
+  struct Cell {
+    TransportKind transport;
+    Mode mode;
+    const char* served;    ///< counter of ops the mode's own path served
+    const char* fallback;  ///< its fallbacks, or nullptr
+  };
+  const Cell cells[] = {
+      {TransportKind::ucr_verbs, Mode::rpc, "mc.requests.ucr", nullptr},
+      {TransportKind::ucr_verbs, Mode::onesided_get, "mc.oneside.reads", "mc.oneside.fallbacks"},
+      {TransportKind::ucr_verbs, Mode::rfp, "mc.rfp.ops", "mc.rfp.fallbacks"},
+      {TransportKind::ipoib, Mode::rpc, "mc.requests.text", nullptr},
+  };
+  struct Shape {
+    unsigned shards, clients, generators;
+  };
+  const Shape shapes[] = {{1, 4, 0}, {2, 8, 2}};
+
+  for (const Cell& cell : cells) {
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(std::string(transport_name(cell.transport)) + " mode " +
+                   std::to_string(static_cast<int>(cell.mode)) + ", " +
+                   std::to_string(shape.shards) + " shards, " +
+                   std::to_string(shape.generators) + " generators");
+      TestBedConfig config;
+      config.transport = cell.transport;
+      config.num_clients = shape.clients;
+      config.shards = shape.shards;
+      config.generators = shape.generators;
+      config.client.mode = cell.mode;
+      TestBed bed(config);
+      ASSERT_EQ(bed.connection_count(), std::size_t{shape.clients} * shape.shards);
+
+      FleetWorkloadConfig workload;
+      workload.key_space = 256;
+      workload.ops_per_client = 40;
+      workload.seed = 5;
+      const std::uint64_t served0 = metric(cell.served);
+      const std::uint64_t fallback0 = cell.fallback ? metric(cell.fallback) : 0;
+      const WorkloadResult r = run_fleet(bed, workload);
+      const std::uint64_t served =
+          (metric(cell.served) - served0) -
+          (cell.fallback ? metric(cell.fallback) - fallback0 : 0);
+
+      EXPECT_FALSE(r.connect_failed);
+      EXPECT_EQ(r.errors, 0u);
+      EXPECT_EQ(r.failed_clients, 0u);
+      EXPECT_EQ(r.value_mismatches, 0u);
+      EXPECT_EQ(r.total_ops, std::uint64_t{shape.clients} * workload.ops_per_client);
+      EXPECT_EQ(r.shards.size(), shape.shards);
+      EXPECT_GT(r.gets, 0u);
+      EXPECT_GT(served, r.gets / 2) << cell.served << " barely moved: the mode degraded";
+    }
+  }
 }
 
 // --------------------------------------------- accounting regressions
