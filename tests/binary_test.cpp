@@ -326,6 +326,41 @@ TEST(BinaryEndToEnd, IncrWithInitialSeedsCounter) {
   EXPECT_TRUE(done);
 }
 
+TEST(BinaryEndToEnd, OverlongKeyAnswersInvalidArguments) {
+  // A raw GET of a 251-byte key: the binary frame allows 65 535 B keys,
+  // memcached allows 250, as the text parser and the UCR request check do.
+  BinaryBed bed;
+  ASSERT_TRUE(bed.server.store()
+                  .store(SetMode::set, std::string(250, 'k'), val("prefix value"), 0, 0)
+                  .ok());
+  bool done = false;
+  bed.run([](BinaryBed& tb, bool& fin) -> Task<> {
+    auto r = co_await tb.client_sock.connect(tb.server_sock.addr(), 11211);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return;
+    bproto::Request req;
+    req.opcode = bproto::Opcode::get;
+    req.key = std::string(251, 'k');
+    (void)co_await (*r)->send(bproto::encode_request(req));
+    bproto::ResponseParser parser;
+    std::vector<std::byte> chunk(4096);
+    while (true) {
+      auto parsed = parser.next();
+      EXPECT_TRUE(parsed.ok());
+      if (!parsed.ok()) break;
+      if (parsed->has_value()) {
+        EXPECT_EQ((*parsed)->status, bproto::BStatus::invalid_arguments);
+        break;
+      }
+      auto n = co_await (*r)->recv(chunk);
+      if (!n.ok() || *n == 0) break;
+      parser.feed(std::span<const std::byte>(chunk.data(), *n));
+    }
+    fin = true;
+  }(bed, done));
+  EXPECT_TRUE(done);
+}
+
 TEST(BinaryEndToEnd, TextAndBinaryClientsShareOnePort) {
   // memcached 1.4 auto-detection: one server socket, one client of each
   // protocol, one shared store.
