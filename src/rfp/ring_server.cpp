@@ -31,7 +31,7 @@ constexpr sim::Time kPollMinNs = 200;
 constexpr sim::Time kPollMaxNs = 400;
 
 /// CPU costs: one sweep over the rings, and the decode of one verified
-/// frame. The op itself is billed the server's McCosts.
+/// frame. The op itself is billed the server's mc::McCosts.
 constexpr sim::Time kPollSweepNs = 80;
 constexpr sim::Time kRequestNs = 250;
 
@@ -331,8 +331,7 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
 
 sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,
                                            std::span<const std::byte> body) {
-  const mc::McCosts& costs = server_->config().costs;
-  co_await host_->cpu().consume(kRequestNs + costs.op_base_ns);
+  co_await host_->cpu().consume(kRequestNs + mc::McCosts::op_base_ns);
 
   ucrp::RequestView req;
   if (ucrp::parse_request(body, req) != ucrp::RequestCheck::ok) {
@@ -350,13 +349,12 @@ sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,
       frame_len = execute_mget(ring, slot, req.header, std::as_bytes(std::span(req.key)),
                                copied_bytes);
     } else {
-      mc::ItemHeader* pinned = nullptr;
-      const ucrp::ResponseHeader resp =
-          server_->execute_ucr(req.header, req.key, req.rest, &pinned);
-      if (pinned != nullptr) {
-        frame_len = seal_response(ring, slot, resp, pinned->value());
-        copied_bytes = pinned->value_len;
-        server_->store().release(pinned);
+      const mc::Outcome out = server_->execute(mc::ucr_op(req.header), req.key, req.rest);
+      const ucrp::ResponseHeader resp = mc::ucr_response(req.header.op, req.header.req_id, out);
+      if (out.item != nullptr) {
+        frame_len = seal_response(ring, slot, resp, out.item->value());
+        copied_bytes = out.item->value_len;
+        server_->store().release(out.item);
       } else {
         frame_len = seal_response(ring, slot, resp, {});
         if (ucrp::is_storage(req.header.op)) copied_bytes = req.rest.size();
@@ -366,7 +364,7 @@ sim::Task<std::size_t> RingServer::execute(ClientRing& ring, std::uint32_t slot,
 
   if (copied_bytes != 0) {
     co_await host_->cpu().consume(static_cast<sim::Time>(
-        static_cast<double>(copied_bytes) * costs.value_copy_ns_per_byte));
+        static_cast<double>(copied_bytes) * mc::McCosts::value_copy_ns_per_byte));
   }
   co_return frame_len;
 }

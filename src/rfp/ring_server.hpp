@@ -4,7 +4,7 @@
 // Clients RDMA-write framed commands (ucr/frame.hpp) into their ring slots;
 // a single dedicated poll loop sweeps every ring, executes verified
 // frames through the memcached server's own executor
-// (mc::Server::execute_ucr, the one the AM worker path runs), and
+// (mc::Server::execute, the one every frontend runs), and
 // RDMA-writes the framed response into the client's response arena — one
 // doorbell per ring sweep via the runtime's send-batch window. No active
 // message, CQ wake-up, or worker hand-off touches the data path.
