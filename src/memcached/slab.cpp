@@ -6,18 +6,18 @@
 namespace rmc::mc {
 
 SlabAllocator::SlabAllocator(SlabConfig config) : config_(config) {
-  // Build the class table: chunk_min, then *= growth_factor (rounded up to
-  // 8-byte alignment), capped by chunk_max — the memcached -f ladder.
-  double size = static_cast<double>(config_.chunk_min);
+  // Build the class table: kChunkMin, then *= kGrowthFactor (rounded up
+  // to 8-byte alignment), capped by kChunkMax — the memcached -f ladder.
+  double size = static_cast<double>(kChunkMin);
   while (true) {
     auto chunk = static_cast<std::size_t>(size);
     chunk = (chunk + 7) & ~std::size_t{7};
-    if (chunk >= config_.chunk_max) {
-      classes_.push_back({config_.chunk_max, {}, 0});
+    if (chunk >= kChunkMax) {
+      classes_.push_back({kChunkMax, {}, 0});
       break;
     }
     classes_.push_back({chunk, {}, 0});
-    size *= config_.growth_factor;
+    size *= kGrowthFactor;
   }
   assert(classes_.size() < 256);
 }
@@ -33,7 +33,7 @@ Result<std::byte*> SlabAllocator::allocate(std::uint8_t cls) {
   SizeClass& sc = classes_[cls];
   if (sc.freelist.empty()) {
     // Grow the class by one page if the global budget allows.
-    const std::size_t page = std::max(config_.page_size, sc.chunk_size);
+    const std::size_t page = std::max(kPageSize, sc.chunk_size);
     if (memory_allocated_ + page > config_.memory_limit) return Errc::no_resources;
     storage_.push_back(std::make_unique<std::byte[]>(page));
     std::byte* base = storage_.back().get();

@@ -21,20 +21,23 @@ namespace rmc::mc {
 
 struct SlabConfig {
   std::size_t memory_limit = 64 * 1024 * 1024;  ///< memcached -m (bytes)
-  std::size_t page_size = 1024 * 1024;          ///< per-class allocation unit
-  std::size_t chunk_min = 96;                   ///< smallest chunk
-  std::size_t chunk_max = 1024 * 1024;          ///< largest item (1 MB default)
-  double growth_factor = 1.25;                  ///< memcached -f
 };
 
 class SlabAllocator {
  public:
+  /// memcached's defaults for the class ladder.
+  static constexpr std::size_t kPageSize = 1024 * 1024;  ///< per-class allocation unit
+  static constexpr std::size_t kChunkMin = 96;           ///< smallest chunk
+  static constexpr std::size_t kChunkMax = 1024 * 1024;  ///< largest item (memcached -I)
+  static constexpr double kGrowthFactor = 1.25;          ///< memcached -f
+
+
   explicit SlabAllocator(SlabConfig config = {});
   SlabAllocator(const SlabAllocator&) = delete;
   SlabAllocator& operator=(const SlabAllocator&) = delete;
 
   /// Smallest class whose chunk size fits `size` bytes; no_resources when
-  /// size exceeds chunk_max.
+  /// size exceeds kChunkMax.
   Result<std::uint8_t> class_for(std::size_t size) const;
 
   std::size_t chunk_size(std::uint8_t cls) const { return classes_[cls].chunk_size; }

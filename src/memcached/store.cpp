@@ -13,10 +13,12 @@ namespace rmc::mc {
 namespace {
 constexpr std::uint32_t kThirtyDays = 30 * 86400;
 constexpr int kEvictionSearchDepth = 50;
+constexpr std::size_t kHashPower = 16;   ///< initial 2^16 buckets (memcached -o hashpower)
+constexpr std::size_t kMaxKeyLen = 250;  ///< memcached's KEY_MAX_LENGTH
 }  // namespace
 
 ItemStore::ItemStore(StoreConfig config)
-    : config_(config), slabs_(config.slabs), table_(config.hash_power) {
+    : config_(config), slabs_(config.slabs), table_(kHashPower) {
   lru_.resize(slabs_.class_count());
 }
 
@@ -71,7 +73,7 @@ void ItemStore::lru_bump(ItemHeader* item) {
 // ------------------------------------------------------- alloc and free
 
 Result<ItemHeader*> ItemStore::allocate_raw(std::string_view key, std::uint32_t value_len) {
-  if (key.empty() || key.size() > config_.max_key_len) return Errc::invalid_argument;
+  if (key.empty() || key.size() > kMaxKeyLen) return Errc::invalid_argument;
   const std::size_t need = ItemHeader::wire_size(key.size(), value_len);
   auto cls = slabs_.class_for(need);
   if (!cls.ok()) return Errc::too_large;

@@ -20,9 +20,7 @@ namespace rmc::mc {
 
 struct StoreConfig {
   SlabConfig slabs{};
-  std::size_t hash_power = 16;
   bool evict_to_free = true;  ///< memcached -M disables eviction
-  std::size_t max_key_len = 250;
 };
 
 struct StoreStats {

@@ -11,6 +11,12 @@ namespace rmc::onesided {
 
 namespace {
 
+/// CPU cost of publishing, billed to the server host asynchronously (the
+/// copy into the exposed arena is real work the server pays on every SET
+/// when the feature is on).
+constexpr sim::Time kPublishBaseNs = 150;
+constexpr double kPublishNsPerByte = 0.10;
+
 std::uint32_t round_up_pow2(std::uint32_t v) {
   std::uint32_t p = 1;
   while (p < v) p <<= 1;
@@ -168,9 +174,8 @@ void Publisher::retract(std::uint32_t slot) {
 }
 
 void Publisher::charge(std::size_t bytes) {
-  pending_cost_ += config_.publish_base_ns +
-                   static_cast<sim::Time>(static_cast<double>(bytes) *
-                                          config_.publish_ns_per_byte);
+  pending_cost_ += kPublishBaseNs +
+                   static_cast<sim::Time>(static_cast<double>(bytes) * kPublishNsPerByte);
   if (!charge_armed_) {
     charge_armed_ = true;
     runtime_->scheduler().spawn(charge_loop());

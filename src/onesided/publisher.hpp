@@ -32,11 +32,6 @@ struct PublisherConfig {
   std::uint32_t bucket_count = 2048;  ///< power of two
   std::uint32_t ways = 4;             ///< entries (and arena slots) per bucket
   std::uint32_t slot_size = 4608;     ///< record slot bytes; larger values are not published
-  /// CPU cost of publishing, billed to the server host asynchronously
-  /// (the copy into the exposed arena is real work the server pays on
-  /// every SET when the feature is on).
-  sim::Time publish_base_ns = 150;
-  double publish_ns_per_byte = 0.10;
 };
 
 class Publisher final : public mc::StoreListener {

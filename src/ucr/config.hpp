@@ -24,12 +24,6 @@ struct UcrConfig {
   /// piggyback on reverse traffic).
   std::uint32_t credits_per_ep = 32;
 
-  /// Runtime dispatch + handler invocation cost per active message.
-  sim::Time am_dispatch_ns = 500;
-
-  /// memcpy between network buffers and application memory (eager path).
-  double memcpy_ns_per_byte = 0.10;
-
   /// Completion detection: false = busy-polling CQs (the paper's choice,
   /// §II-A1), true = event-driven with interrupt cost per completion
   /// (exposed for the ablation benchmark).

@@ -14,6 +14,11 @@ namespace rmc::ucr {
 
 namespace {
 
+/// Runtime dispatch + handler invocation cost per active message, and the
+/// memcpy between network buffers and application memory (eager path).
+constexpr sim::Time kAmDispatchNs = 500;
+constexpr double kMemcpyNsPerByte = 0.10;
+
 const std::uint16_t kProfSendMessage =
     obs::profiler().register_scope("prof.ucr.send.message", obs::ScopeKind::engine);
 const std::uint16_t kProfSendComplete =
@@ -798,8 +803,8 @@ sim::Task<> Runtime::handle_message(Endpoint& ep, std::span<std::byte> buffer,
     case wire::Kind::eager: {
       const sim::Time dispatch_start = scheduler().now();
       co_await hca_->host().cpu().consume(
-          config_.am_dispatch_ns +
-          static_cast<sim::Time>(am.data_len * config_.memcpy_ns_per_byte));
+          kAmDispatchNs +
+          static_cast<sim::Time>(am.data_len * kMemcpyNsPerByte));
       // Post-consume dispatch is straight-line code: handler lookup, the
       // payload landing memcpy, counter fire and credit return.
       obs::ProfScope prof_dispatch{kProfAmDispatch};
@@ -837,7 +842,7 @@ sim::Task<> Runtime::handle_message(Endpoint& ep, std::span<std::byte> buffer,
     }
 
     case wire::Kind::rendezvous: {
-      co_await hca_->host().cpu().consume(config_.am_dispatch_ns);
+      co_await hca_->host().cpu().consume(kAmDispatchNs);
       auto handler_it = handlers_.find(am.msg_id);
       const std::span<const std::byte> header{buffer.data() + wire::AmWire::kSize,
                                               am.header_len};
@@ -893,7 +898,7 @@ sim::Task<> Runtime::complete_target_read(std::uint64_t token, verbs::WcStatus s
     co_return;
   }
 
-  co_await hca_->host().cpu().consume(config_.am_dispatch_ns);
+  co_await hca_->host().cpu().consume(kAmDispatchNs);
   auto handler_it = handlers_.find(pending.am.msg_id);
   if (handler_it != handlers_.end() && handler_it->second.on_complete) {
     handler_it->second.on_complete(*pending.ep, const_span(pending.header), pending.dest);

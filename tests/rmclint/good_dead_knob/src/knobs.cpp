@@ -1,0 +1,12 @@
+#include "knobs.hpp"
+
+namespace fx {
+
+GadgetBehavior make_gadget() {
+  GadgetBehavior g{.mode = GadgetBehavior::Mode::loud};
+  g.inner.depth = 4;
+  g.scale = [](int x) { return 2 * x; };
+  return g;
+}
+
+}  // namespace fx

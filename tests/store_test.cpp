@@ -33,7 +33,7 @@ TEST(Slab, ClassLadderGrowsByFactor) {
     EXPECT_GT(slabs.chunk_size(static_cast<std::uint8_t>(c)), prev);
     prev = slabs.chunk_size(static_cast<std::uint8_t>(c));
   }
-  EXPECT_EQ(prev, SlabConfig{}.chunk_max);
+  EXPECT_EQ(prev, SlabAllocator::kChunkMax);
 }
 
 TEST(Slab, ClassForPicksSmallestFit) {

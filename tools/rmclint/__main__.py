@@ -32,6 +32,7 @@ if __package__ in (None, ""):
     from rmclint.rules import (
         ALL_RULES,
         CXX_SUFFIXES,
+        check_dead_knobs,
         check_determinism,
         check_io_hygiene,
         check_zeroalloc,
@@ -43,6 +44,7 @@ else:
     from .rules import (
         ALL_RULES,
         CXX_SUFFIXES,
+        check_dead_knobs,
         check_determinism,
         check_io_hygiene,
         check_zeroalloc,
@@ -151,6 +153,8 @@ def main(argv: list[str]) -> int:
     findings += check_io_hygiene(project)
     findings += check_coro_lifetime(project)
     findings += check_seqlock_discipline(project)
+    if not args.paths:  # needs the whole tree: a knob may be set in any file
+        findings += check_dead_knobs(project)
     findings = apply_suppressions(project, findings)
     if not args.no_metrics:
         findings += check_metrics(project, root)

@@ -7,6 +7,7 @@ invariants this reproduction's results rest on:
   determinism-*   the simulator must be bit-identical across runs
   zeroalloc       the request hot path must not allocate (PR 2 budget)
   io-hygiene      library code logs through common/log.hpp, never stdout
+  dead-knob       every configuration field is set by someone
 
 Scopes: determinism + io-hygiene apply to src/ (library code);
 zeroalloc applies to hot-path-tagged files (src/simnet/, src/ucr/ by
@@ -222,6 +223,100 @@ def check_io_hygiene(project: Project) -> list[Finding]:
     return findings
 
 
+# ----------------------------------------------------------------- dead-knob
+
+KNOB_STRUCT_RE = re.compile(r"\bstruct\s+(?P<name>\w+(?:Config|Behavior))\s*\{")
+# A write to a member: `x.a = v`, `p->a = v`, `x.a.b.c += v`, or a
+# designated initializer `.a = v` / `.a{v}`. Every name on the path counts.
+KNOB_WRITE_RE = re.compile(
+    r"(?:\.|->)\s*(?P<path>\w+(?:\s*\.\s*\w+)*)\s*(?:(?:[-+*/%|&^]|<<|>>)?=(?!=)|\{)"
+)
+KNOB_NOT_FIELD_RE = re.compile(
+    r"^\s*(?:enum|struct|class|union|using|typedef|static|friend|template)\b"
+)
+KNOB_FIELD_NAME_RE = re.compile(r"(\w+)\s*$")
+KNOB_TEMPLATE_ARGS_RE = re.compile(r"<[^<>]*>")
+
+
+def _knob_fields(sf: SourceFile) -> list[tuple[str, str, int]]:
+    """(struct, field, line) for every data member of a *Config or *Behavior
+    struct defined in `sf`. Nested types, static members and member
+    functions are not fields; a member's brace initializer is skipped."""
+    fields: list[tuple[str, str, int]] = []
+    lines = sf.code_lines
+    for start, line in enumerate(lines):
+        m = KNOB_STRUCT_RE.search(line)
+        if not m:
+            continue
+        depth = 0
+        stmt, stmt_line = "", 0
+        for idx in range(start, len(lines)):
+            text = lines[idx][m.end() - 1 :] if idx == start else lines[idx]
+            for ch in text:
+                if ch == "{":
+                    depth += 1
+                    if depth == 2:
+                        stmt += "{"
+                    continue
+                if ch == "}":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                    if depth == 1 and stmt.lstrip().startswith(("enum", "struct", "class", "union")):
+                        stmt = ""  # a nested type's body ended; it declares no field
+                    continue
+                if depth != 1:
+                    continue
+                if ch == ";":
+                    # The declarator, template arguments dropped: a `(` left
+                    # in it makes a member function, not a field.
+                    head = stmt.split("=")[0].split("{")[0]
+                    while KNOB_TEMPLATE_ARGS_RE.search(head):
+                        head = KNOB_TEMPLATE_ARGS_RE.sub("", head)
+                    name = KNOB_FIELD_NAME_RE.search(head.strip() + " ")
+                    if name and "(" not in head and not KNOB_NOT_FIELD_RE.match(stmt):
+                        fields.append((m.group("name"), name.group(1), stmt_line + 1))
+                    stmt = ""
+                    continue
+                if not stmt.strip():
+                    stmt_line = idx
+                stmt += ch
+            if depth == 0 and idx > start:
+                break
+            stmt += " "
+    return fields
+
+
+def check_dead_knobs(project: Project) -> list[Finding]:
+    """A field of a *Config or *Behavior struct under src/ that nothing in
+    the scanned tree assigns is a constant dressed as a knob. Lexical and
+    name-based: a write to any member of the same name counts."""
+    written: set[str] = set()
+    for sf in project.files:
+        if not sf.rel.endswith(CXX_SUFFIXES):
+            continue
+        for line in sf.code_lines:
+            for m in KNOB_WRITE_RE.finditer(line):
+                written.update(re.split(r"\s*\.\s*", m.group("path")))
+    findings: list[Finding] = []
+    for sf in project.files:
+        if not _in_src(sf) or not sf.rel.endswith(CXX_SUFFIXES):
+            continue
+        for struct, field, line in _knob_fields(sf):
+            if field not in written:
+                findings.append(
+                    Finding(
+                        "dead-knob",
+                        sf.rel,
+                        line,
+                        f"{struct}::{field} is never assigned in src/, bench/, "
+                        "examples/ or tests/ — a value nobody sets is a constant; "
+                        "make it one, or set it where it matters",
+                    )
+                )
+    return findings
+
+
 ALL_RULES = {
     "determinism-rand": "ban rand()/random_device/drand48 in src/",
     "determinism-clock": "ban wall-clock reads in src/",
@@ -235,6 +330,7 @@ ALL_RULES = {
     "blessed protocol helpers",
     "zeroalloc": "ban allocation in hot-path-tagged files",
     "io-hygiene": "ban direct stdout/stderr I/O in src/",
+    "dead-knob": "every field of a *Config or *Behavior struct in src/ is assigned somewhere",
     "metrics-registry": "cross-check metric names between code and docs/tests/tools",
     "bad-suppression": "allow() annotations must name a rule and justify",
     "unused-suppression": "allow() annotations must suppress a real finding",
