@@ -97,40 +97,28 @@ bool storage_command(Command c) {
   }
 }
 
-const char* command_name(Command c) {
-  switch (c) {
-    case Command::get: return "get";
-    case Command::gets: return "gets";
-    case Command::set: return "set";
-    case Command::add: return "add";
-    case Command::replace: return "replace";
-    case Command::append: return "append";
-    case Command::prepend: return "prepend";
-    case Command::cas: return "cas";
-    case Command::del: return "delete";
-    case Command::incr: return "incr";
-    case Command::decr: return "decr";
-    case Command::touch: return "touch";
-    case Command::flush_all: return "flush_all";
-    case Command::stats: return "stats";
-    case Command::version: return "version";
-    case Command::quit: return "quit";
+/// Every command's name on the wire, spelled once for the client encoder
+/// and the server parser.
+constexpr std::pair<std::string_view, Command> kCommands[] = {
+    {"get", Command::get},       {"gets", Command::gets},
+    {"set", Command::set},       {"add", Command::add},
+    {"replace", Command::replace}, {"append", Command::append},
+    {"prepend", Command::prepend}, {"cas", Command::cas},
+    {"delete", Command::del},    {"incr", Command::incr},
+    {"decr", Command::decr},     {"touch", Command::touch},
+    {"flush_all", Command::flush_all}, {"stats", Command::stats},
+    {"version", Command::version}, {"quit", Command::quit},
+};
+
+std::string_view command_name(Command c) {
+  for (const auto& [n, cmd] : kCommands) {
+    if (cmd == c) return n;
   }
   return "?";
 }
 
 std::optional<Command> command_from(std::string_view name) {
-  static constexpr std::pair<std::string_view, Command> kTable[] = {
-      {"get", Command::get},       {"gets", Command::gets},
-      {"set", Command::set},       {"add", Command::add},
-      {"replace", Command::replace}, {"append", Command::append},
-      {"prepend", Command::prepend}, {"cas", Command::cas},
-      {"delete", Command::del},    {"incr", Command::incr},
-      {"decr", Command::decr},     {"touch", Command::touch},
-      {"flush_all", Command::flush_all}, {"stats", Command::stats},
-      {"version", Command::version}, {"quit", Command::quit},
-  };
-  for (const auto& [n, c] : kTable) {
+  for (const auto& [n, c] : kCommands) {
     if (n == name) return c;
   }
   return std::nullopt;
