@@ -181,13 +181,13 @@ Result<ItemHeader*> ItemStore::store(SetMode mode, std::string_view key,
   // Pin the existing item: allocation may evict from the same LRU, and
   // append/prepend still read from it below.
   if (existing) ++existing->refcount;
-  auto allocated = allocate_item(key, new_len, flags, exptime);
+  auto allocated = prepare_item(key, new_len, flags, exptime);
   if (!allocated.ok()) {
     if (existing) release(existing);
     return allocated.error();
   }
   ItemHeader* item = *allocated;
-  // allocate_item already normalized exptime; append/prepend must keep the
+  // prepare_item already normalized exptime; append/prepend must keep the
   // absolute one captured above.
   item->exptime = exptime;
 
@@ -203,7 +203,7 @@ Result<ItemHeader*> ItemStore::store(SetMode mode, std::string_view key,
   }
 
   if (existing) release(existing);
-  commit_item(item);
+  link_item(item);
   return item;
 }
 
@@ -322,6 +322,18 @@ void ItemStore::flush_all() {
 
 Result<ItemHeader*> ItemStore::allocate_item(std::string_view key, std::uint32_t value_len,
                                              std::uint32_t flags, std::uint32_t exptime) {
+  auto item = prepare_item(key, value_len, flags, exptime);
+  if (!item.ok()) ++stats_.cmd_set;  // the command ends here: it never reaches store()
+  return item;
+}
+
+void ItemStore::commit_item(ItemHeader* item) {
+  ++stats_.cmd_set;
+  link_item(item);
+}
+
+Result<ItemHeader*> ItemStore::prepare_item(std::string_view key, std::uint32_t value_len,
+                                            std::uint32_t flags, std::uint32_t exptime) {
   auto allocated = allocate_raw(key, value_len);
   if (!allocated.ok()) return allocated.error();
   ItemHeader* item = *allocated;
@@ -331,7 +343,7 @@ Result<ItemHeader*> ItemStore::allocate_item(std::string_view key, std::uint32_t
   return item;
 }
 
-void ItemStore::commit_item(ItemHeader* item) {
+void ItemStore::link_item(ItemHeader* item) {
   ItemHeader* existing = peek(item->key());
   if (existing) {
     unlink(existing);
