@@ -72,7 +72,8 @@ Header decode_header(const std::byte* in) {
   return h;
 }
 
-bool storage_op(Opcode op) {
+/// The opcodes whose extras carry flags and an expiry.
+bool carries_flags(Opcode op) {
   return op == Opcode::set || op == Opcode::add || op == Opcode::replace;
 }
 
@@ -80,7 +81,7 @@ bool storage_op(Opcode op) {
 
 std::vector<std::byte> encode_request(const Request& request) {
   std::uint8_t extras_len = 0;
-  if (storage_op(request.opcode)) {
+  if (carries_flags(request.opcode)) {
     extras_len = 8;  // flags + exptime
   } else if (request.opcode == Opcode::increment || request.opcode == Opcode::decrement) {
     extras_len = 20;  // delta + initial + exptime
@@ -95,7 +96,7 @@ std::vector<std::byte> encode_request(const Request& request) {
                              static_cast<std::uint16_t>(request.key.size()), extras_len, 0,
                              static_cast<std::uint32_t>(body), request.opaque, request.cas});
   std::byte* cursor = out.data() + kHeaderSize;
-  if (storage_op(request.opcode)) {
+  if (carries_flags(request.opcode)) {
     put_u32(cursor, request.flags);
     put_u32(cursor + 4, request.exptime);
   } else if (request.opcode == Opcode::increment || request.opcode == Opcode::decrement) {
@@ -161,7 +162,7 @@ Result<std::optional<Request>> RequestParser::next() {
   req.wire_bytes = kHeaderSize + h.body_len;
 
   const std::byte* extras = buffer_.data() + kHeaderSize;
-  if (storage_op(h.opcode)) {
+  if (carries_flags(h.opcode)) {
     if (h.extras_len != 8) return Errc::protocol_error;
     req.flags = get_u32(extras);
     req.exptime = get_u32(extras + 4);

@@ -83,18 +83,9 @@ constexpr RspEntry kRspTable[] = {
 
 constexpr bool is_prefix(const RspEntry& entry) { return entry.text.ends_with(' '); }
 
-bool storage_command(Command c) {
-  switch (c) {
-    case Command::set:
-    case Command::add:
-    case Command::replace:
-    case Command::append:
-    case Command::prepend:
-    case Command::cas:
-      return true;
-    default:
-      return false;
-  }
+/// The storage commands, which carry a data block.
+bool has_data_block(Command c) {
+  return decode_verb(kVerbs, c, {}).verb == StoreOp::Verb::store;
 }
 
 /// Every command's name on the wire, spelled once for the client encoder
@@ -164,7 +155,7 @@ Result<std::optional<Request>> RequestParser::next() {
   req.command = *command;
   std::size_t consumed = *line_end + 2;
 
-  if (storage_command(req.command)) {
+  if (has_data_block(req.command)) {
     // <cmd> <key> <flags> <exptime> <bytes> [cas] [noreply]\r\n<data>\r\n
     const bool is_cas = req.command == Command::cas;
     const std::size_t expected = is_cas ? 6 : 5;
@@ -254,7 +245,7 @@ std::vector<std::byte> encode_request(const Request& request) {
   out.reserve(64 + request.data.size());
   append_str(out, command_name(request.command));
 
-  if (storage_command(request.command)) {
+  if (has_data_block(request.command)) {
     append_str(out, " ");
     append_str(out, request.key());
     append_str(out, " ");

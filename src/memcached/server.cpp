@@ -96,29 +96,9 @@ bproto::BStatus binary_status(bproto::Opcode op, Errc e) {
 }  // namespace
 
 StoreOp ucr_op(const ucrp::RequestHeader& header) {
-  using Verb = StoreOp::Verb;
-  StoreOp op{.flags = header.flags, .exptime = header.exptime, .cas = header.cas,
-             .delta = header.delta};
-  switch (header.op) {
-    case ucrp::Op::get:
-    case ucrp::Op::gets: op.verb = Verb::get; break;
-    case ucrp::Op::set: op.verb = Verb::store; break;
-    case ucrp::Op::add: op.verb = Verb::store; op.mode = SetMode::add; break;
-    case ucrp::Op::replace: op.verb = Verb::store; op.mode = SetMode::replace; break;
-    case ucrp::Op::append: op.verb = Verb::store; op.mode = SetMode::append; break;
-    case ucrp::Op::prepend: op.verb = Verb::store; op.mode = SetMode::prepend; break;
-    case ucrp::Op::cas: op.verb = Verb::store; op.mode = SetMode::cas; break;
-    case ucrp::Op::del: op.verb = Verb::del; break;
-    case ucrp::Op::incr: op.verb = Verb::arith; break;
-    case ucrp::Op::decr: op.verb = Verb::arith; op.decrement = true; break;
-    case ucrp::Op::touch: op.verb = Verb::touch; break;
-    case ucrp::Op::flush_all:
-      op.verb = Verb::flush_all;
-      op.exptime = static_cast<std::uint32_t>(header.delta);
-      break;
-    default: break;  // version; mget runs its own batch path
-  }
-  return op;
+  return decode_verb(ucrp::kVerbs, header.op,
+                     {.flags = header.flags, .exptime = header.exptime, .cas = header.cas,
+                      .delta = header.delta});
 }
 
 ucrp::ResponseHeader ucr_response(ucrp::Op op, std::uint64_t req_id, const Outcome& out) {
@@ -324,29 +304,15 @@ std::byte* Server::key_space(Keys& keys, std::size_t bytes) {
 }
 
 Result<std::optional<sim::Time>> Server::next_text(proto::RequestParser& parser, Request& out) {
-  using Verb = StoreOp::Verb;
   auto parsed = parser.next();
   if (!parsed.ok()) return parsed.error();
   if (!parsed->has_value()) return std::optional<sim::Time>{};
   proto::Request& req = **parsed;
   out.command = static_cast<std::uint8_t>(req.command);
   out.noreply = req.noreply;
-  StoreOp& op = out.op;
-  op = {.flags = req.flags, .exptime = req.exptime, .cas = req.cas_unique, .delta = req.delta};
-  switch (req.command) {
-    case proto::Command::set: op.verb = Verb::store; break;
-    case proto::Command::add: op.verb = Verb::store; op.mode = SetMode::add; break;
-    case proto::Command::replace: op.verb = Verb::store; op.mode = SetMode::replace; break;
-    case proto::Command::append: op.verb = Verb::store; op.mode = SetMode::append; break;
-    case proto::Command::prepend: op.verb = Verb::store; op.mode = SetMode::prepend; break;
-    case proto::Command::cas: op.verb = Verb::store; op.mode = SetMode::cas; break;
-    case proto::Command::del: op.verb = Verb::del; break;
-    case proto::Command::incr: op.verb = Verb::arith; break;
-    case proto::Command::decr: op.verb = Verb::arith; op.decrement = true; break;
-    case proto::Command::touch: op.verb = Verb::touch; break;
-    case proto::Command::flush_all: op.verb = Verb::flush_all; break;
-    default: break;  // get and gets (the pinned pass), stats, version, quit
-  }
+  out.op = decode_verb(proto::kVerbs, req.command,
+                       {.flags = req.flags, .exptime = req.exptime, .cas = req.cas_unique,
+                        .delta = req.delta});
   std::size_t bytes = 0;
   for (std::size_t i = 0; i < req.key_count(); ++i) bytes += ucrp::mget_entry_size(req.key_at(i));
   std::byte* at = key_space(out.keys, bytes);
@@ -360,8 +326,6 @@ Result<std::optional<sim::Time>> Server::next_text(proto::RequestParser& parser,
 
 Result<std::optional<sim::Time>> Server::next_binary(bproto::RequestParser& parser,
                                                      Request& out) {
-  using bproto::Opcode;
-  using Verb = StoreOp::Verb;
   auto parsed = parser.next();
   if (!parsed.ok()) return parsed.error();
   if (!parsed->has_value()) return std::optional<sim::Time>{};
@@ -370,33 +334,14 @@ Result<std::optional<sim::Time>> Server::next_binary(bproto::RequestParser& pars
   out.tag = req.opaque;
   out.initial = req.initial;
   StoreOp& op = out.op;
-  op = {.flags = req.flags, .exptime = req.exptime, .cas = req.cas, .delta = req.delta};
-  switch (req.opcode) {
-    case Opcode::get:
-    case Opcode::getq:
-    case Opcode::getk:
-    case Opcode::getkq: op.verb = Verb::get; break;
-    case Opcode::set:
-    case Opcode::add:
-    case Opcode::replace:
-      op.verb = Verb::store;
-      if (req.opcode == Opcode::add) op.mode = SetMode::add;
-      if (req.opcode == Opcode::replace) op.mode = SetMode::replace;
-      // A non-zero CAS on a binary set means compare-and-swap.
-      if (req.cas != 0) op.mode = SetMode::cas;
-      break;
-    case Opcode::append: op.verb = Verb::store; op.mode = SetMode::append; break;
-    case Opcode::prepend: op.verb = Verb::store; op.mode = SetMode::prepend; break;
-    case Opcode::del: op.verb = Verb::del; break;
-    case Opcode::increment:
-    case Opcode::decrement:
-      op.verb = Verb::arith;
-      op.decrement = req.opcode == Opcode::decrement;
-      op.exptime = req.arith_exptime;
-      break;
-    case Opcode::touch: op.verb = Verb::touch; break;
-    case Opcode::flush: op.verb = Verb::flush_all; break;
-    default: break;  // noop, version, stat, quit, unknown opcodes
+  op = decode_verb(
+      bproto::kVerbs, req.opcode,
+      {.flags = req.flags, .exptime = req.exptime, .cas = req.cas, .delta = req.delta});
+  if (op.verb == StoreOp::Verb::arith) op.exptime = req.arith_exptime;
+  // The binary CAS: a set, add or replace with a non-zero CAS id.
+  if (req.cas != 0 && op.verb == StoreOp::Verb::store && op.mode != SetMode::append &&
+      op.mode != SetMode::prepend) {
+    op.mode = SetMode::cas;
   }
   if (req.key.size() > proto::Request::kMaxKeyLen) {
     // memcached's key limit, as the text parser and the UCR request check

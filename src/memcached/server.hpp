@@ -14,9 +14,11 @@
 //    target counter. The RFP rings (rfp::RingServer) decode the same
 //    request format.
 //
-// Every frontend decodes a request into one StoreOp and runs it through
-// one executor, Server::execute; each keeps only its decode, its CPU
-// billing and the mapping from the outcome to its wire status.
+// Every frontend decodes a request into one StoreOp (store.hpp) through
+// its protocol's verb table, the same table the client encodes through,
+// and runs it through one executor, Server::execute; each keeps only its
+// decode, its CPU billing and the mapping from the outcome to its wire
+// status.
 //
 // Worker threads are simulated as coroutines feeding from per-worker
 // queues; their count is the runtime parameter the paper mentions.
@@ -60,30 +62,7 @@ struct ServerConfig {
   StoreConfig store{};
 };
 
-/// What one request asks of the store, decoded from any frontend's wire
-/// form. The key and value travel beside it (Server::execute).
-struct StoreOp {
-  enum class Verb : std::uint8_t {
-    none,  ///< nothing for the store: a frontend-local command
-    get,
-    store,
-    del,
-    arith,
-    touch,
-    flush_all,
-  };
-  Verb verb = Verb::none;
-  SetMode mode = SetMode::set;  ///< store
-  bool decrement = false;       ///< arith
-  std::uint32_t flags = 0;      ///< store
-  /// store and touch: the expiry; flush_all: the delay in seconds; binary
-  /// arith: the expiry of the counter a miss seeds.
-  std::uint32_t exptime = 0;
-  std::uint64_t cas = 0;        ///< store in SetMode::cas
-  std::uint64_t delta = 0;      ///< arith
-};
-
-/// What the store answered to a StoreOp.
+/// What the store answered to a StoreOp (store.hpp).
 struct Outcome {
   Errc error = Errc::ok;
   ItemHeader* item = nullptr;  ///< get hit, pinned: the caller releases it
