@@ -28,6 +28,11 @@
 //    table, the one the server decodes with. Client's eleven write
 //    methods each build a StoreOp and run it through with_retries once.
 //
+// Every op, reads and multigets included, runs through with_retries: a
+// dead connection reconnects, a transport failure retries up to
+// ClientBehavior::max_retries, and each outcome counts toward ejection
+// and rejoin. A multiget retries each server's batch on its own.
+//
 // Landing rule (both read primitives): the value bytes land in the caller's
 // `dest` when one is given and the value fits; otherwise they land in
 // connection storage that stays valid until the next operation on the
@@ -213,8 +218,8 @@ class Client {
       std::span<const std::string> keys);
   /// Batched multiget into caller-provided slots (slots[i] answers
   /// keys[i]). With a single-server pool this is a zero-alloc pass-through
-  /// to the connection's batched path; multi-server pools group keys per
-  /// server first (which allocates).
+  /// to the connection's batched path, under with_retries; multi-server
+  /// pools group keys per server first (which allocates).
   sim::Task<Status> mget_into(std::span<const std::string_view> keys,
                               std::span<MgetSlot> slots);
   sim::Task<Status> del(std::string_view key);

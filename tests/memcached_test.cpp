@@ -645,41 +645,66 @@ Task<> one_reply_server(sock::Listener& listener, std::vector<std::vector<std::b
 
 TEST(Robustness, StreamClientReconnectsAfterServerClose) {
   // The server's FIN leaves the client socket established but the stream
-  // dead. The next op must reconnect (with no retries configured), not
-  // answer disconnected for good. When the server closed partway through a
-  // reply, the new stream must not be parsed behind that reply's bytes.
+  // dead. The next op, a set, an mget or an mget_into, must reconnect
+  // (with no retries configured), not answer disconnected for good. When
+  // the server closed partway through a reply, the new stream must not be
+  // parsed behind that reply's bytes.
   for (const bool binary : {false, true}) {
     for (const bool cut : {false, true}) {
-      SCOPED_TRACE(std::string(binary ? "binary" : "text") + (cut ? ", reply cut short" : ""));
-      TestBed tb;
-      constexpr std::uint16_t kPort = 11300;
-      const std::string stored = "STORED\r\n";
-      const std::vector<std::byte> reply =
-          binary ? bproto::encode_response({.opcode = bproto::Opcode::set})
-                 : std::vector<std::byte>(val(stored).begin(), val(stored).end());
-      std::vector<std::byte> first = reply;
-      if (cut) first.resize(reply.size() / 3);  // binary: cut before the body length
-      tb.sched.spawn(one_reply_server(tb.server_sock.listen(kPort), {first, reply}));
-      ClientBehavior behavior;
-      behavior.binary_protocol = binary;
-      Client client(tb.sched, tb.client_host, behavior);
-      client.add_server_socket(tb.client_sock, tb.server_sock.addr(), kPort);
-      bool done = false;
-      tb.run([](Scheduler& sched, Client& c, bool cut_short, bool& fin) -> Task<> {
-        EXPECT_TRUE((co_await c.connect_all()).ok());
-        const Status first_set = co_await c.set("k", val("v"));
-        if (cut_short) {
-          EXPECT_EQ(first_set.error(), Errc::disconnected);
-        } else {
-          EXPECT_TRUE(first_set.ok());
-        }
-        co_await sched.delay(1_ms);  // the FIN lands
-        const std::uint64_t reconnects = metric("mc.client.reconnects");
-        EXPECT_TRUE((co_await c.set("k", val("v"))).ok());
-        EXPECT_EQ(metric("mc.client.reconnects"), reconnects + 1);
-        fin = true;
-      }(tb.sched, client, cut, done));
-      EXPECT_TRUE(done);
+      for (const std::string_view second_op : {"set", "mget", "mget_into"}) {
+        SCOPED_TRACE(std::string(binary ? "binary" : "text") + (cut ? ", reply cut short" : "") +
+                     ", then " + std::string(second_op));
+        TestBed tb;
+        constexpr std::uint16_t kPort = 11300;
+        const std::string stored = "STORED\r\n";
+        const std::string end = "END\r\n";
+        const std::vector<std::byte> reply =
+            binary ? bproto::encode_response({.opcode = bproto::Opcode::set})
+                   : std::vector<std::byte>(val(stored).begin(), val(stored).end());
+        // The whole answer to a one-key multiget that misses.
+        const std::vector<std::byte> miss =
+            binary ? bproto::encode_response({.opcode = bproto::Opcode::noop})
+                   : std::vector<std::byte>(val(end).begin(), val(end).end());
+        std::vector<std::byte> first = reply;
+        if (cut) first.resize(reply.size() / 3);  // binary: cut before the body length
+        tb.sched.spawn(one_reply_server(tb.server_sock.listen(kPort),
+                                        {first, second_op == "set" ? reply : miss}));
+        ClientBehavior behavior;
+        behavior.binary_protocol = binary;
+        Client client(tb.sched, tb.client_host, behavior);
+        client.add_server_socket(tb.client_sock, tb.server_sock.addr(), kPort);
+        bool done = false;
+        tb.run([](Scheduler& sched, Client& c, bool cut_short, std::string_view op,
+                  bool& fin) -> Task<> {
+          EXPECT_TRUE((co_await c.connect_all()).ok());
+          const Status first_set = co_await c.set("k", val("v"));
+          if (cut_short) {
+            EXPECT_EQ(first_set.error(), Errc::disconnected);
+          } else {
+            EXPECT_TRUE(first_set.ok());
+          }
+          co_await sched.delay(1_ms);  // the FIN lands
+          const std::uint64_t reconnects = metric("mc.client.reconnects");
+          if (op == "set") {
+            EXPECT_TRUE((co_await c.set("k", val("v"))).ok());
+          } else if (op == "mget") {
+            const std::string keys[] = {"k"};
+            auto got = co_await c.mget(keys);
+            EXPECT_TRUE(got.ok());
+            if (got.ok()) {
+              EXPECT_FALSE((*got)[0].has_value());
+            }
+          } else {
+            const std::string_view keys[] = {"k"};
+            MgetSlot slots[1];
+            EXPECT_TRUE((co_await c.mget_into(keys, slots)).ok());
+            EXPECT_FALSE(slots[0].hit);
+          }
+          EXPECT_EQ(metric("mc.client.reconnects"), reconnects + 1);
+          fin = true;
+        }(tb.sched, client, cut, second_op, done));
+        EXPECT_TRUE(done);
+      }
     }
   }
 }
