@@ -826,7 +826,7 @@ sim::Task<> Server::serve_ucr_mget(Work& work, WorkerScratch& scratch) {
   std::size_t frame = ucr_runtime_->config().eager_limit;
   if (ep.type() == ucr::EpType::unreliable) {
     // UD datagrams cannot exceed the MTU and cannot rendezvous (§VII).
-    frame = std::min<std::size_t>(frame, ucr_runtime_->hca().costs().ud_mtu);
+    frame = std::min<std::size_t>(frame, verbs::kUdMtu);
   }
   constexpr std::size_t kMaxRecordsPerChunk = 256;
   const std::size_t fixed = ucr::wire::AmWire::kSize + ucrp::ResponseHeader::kSize +

@@ -397,7 +397,7 @@ Status Runtime::send_message(Endpoint& ep, std::uint16_t msg_id,
   if (ep.type_ == EpType::unreliable) {
     // Datagram endpoints are eager-only (no RC to RDMA-read over) and
     // bounded by the UD path MTU.
-    if (!eager || eager_total > hca_->costs().ud_mtu) return Errc::invalid_argument;
+    if (!eager || eager_total > verbs::kUdMtu) return Errc::invalid_argument;
   }
 
   wire::AmWire am;

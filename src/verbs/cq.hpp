@@ -19,12 +19,10 @@ namespace rmc::verbs {
 
 class CompletionQueue {
  public:
-  CompletionQueue(sim::Scheduler& sched, sim::CpuResource& cpu, CqMode mode,
-                  const VerbsCosts& costs)
+  CompletionQueue(sim::Scheduler& sched, sim::CpuResource& cpu, CqMode mode)
       : sched_(&sched),
         cpu_(&cpu),
         mode_(mode),
-        costs_(costs),
         entries_(sched),
         polls_metric_(&obs::registry().counter("verbs.cq.polls")),
         completions_metric_(&obs::registry().counter("verbs.cq.completions")) {}
@@ -38,7 +36,7 @@ class CompletionQueue {
   std::optional<WorkCompletion> poll() {
     polls_metric_->inc();
     auto wc = entries_.try_recv();
-    if (wc) cpu_->reserve(costs_.poll_cq_ns);
+    if (wc) cpu_->reserve(kPollCqNs);
     return wc;
   }
 
@@ -50,9 +48,9 @@ class CompletionQueue {
     auto wc = co_await entries_.recv();
     // The channel is never closed while the CQ lives.
     if (mode_ == CqMode::event_driven) {
-      co_await sched_->delay(costs_.interrupt_ns);
+      co_await sched_->delay(kInterruptNs);
     }
-    cpu_->reserve(costs_.poll_cq_ns);
+    cpu_->reserve(kPollCqNs);
     co_return *wc;
   }
 
@@ -68,7 +66,7 @@ class CompletionQueue {
     auto wc = entries_.try_recv();
     if (!wc) return std::nullopt;
     polls_metric_->inc();
-    cpu_->reserve(costs_.poll_cq_ns);
+    cpu_->reserve(kPollCqNs);
     return wc;
   }
 
@@ -84,7 +82,6 @@ class CompletionQueue {
   sim::Scheduler* sched_;
   sim::CpuResource* cpu_;
   CqMode mode_;
-  VerbsCosts costs_;
   sim::Channel<WorkCompletion> entries_;
   obs::Counter* polls_metric_;        ///< verbs.cq.polls
   obs::Counter* completions_metric_;  ///< verbs.cq.completions

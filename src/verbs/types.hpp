@@ -89,7 +89,8 @@ enum class CqMode : std::uint8_t { polling, event_driven };
 
 /// Host-side and adapter-side cost model for verbs operations. These are
 /// the OS-bypass numbers that make verbs fast: posting a WR is a doorbell
-/// write, not a syscall.
+/// write, not a syscall. The fields are the ones the testbed's cluster
+/// profiles set; the constants below are the same on every cluster.
 struct VerbsCosts {
   sim::Time post_wr_ns = 120;        ///< build WQE + doorbell (user space)
   /// Of post_wr_ns, the share attributable to ringing the NIC doorbell
@@ -98,7 +99,6 @@ struct VerbsCosts {
   /// once per WR; a single post still costs exactly post_wr_ns, so
   /// non-batched timings are unchanged. Clamped to post_wr_ns.
   sim::Time doorbell_ns = 40;
-  sim::Time poll_cq_ns = 60;         ///< per-completion poll cost
   sim::Time hca_process_ns = 250;    ///< adapter packet processing, per message
   /// In-bound RDMA Write processing, per message. Real adapters place an
   /// incoming write cheaper than a SEND (no WQE consumed, no CQE raised at
@@ -107,22 +107,23 @@ struct VerbsCosts {
   /// so existing figures are byte-identical; an engaged value is charged
   /// as-is — including 0 for a genuinely free in-bound engine pass.
   std::optional<sim::Time> hca_inbound_write_ns = std::nullopt;
-  sim::Time interrupt_ns = 4000;     ///< event-mode completion wake-up
-  sim::Time reg_mr_base_ns = 900;    ///< memory registration: pin + table setup
-  sim::Time reg_mr_per_page_ns = 90; ///< per 4 KiB page
-  std::uint32_t ack_bytes = 30;      ///< RC acknowledgement wire size
-  std::uint32_t read_req_bytes = 48; ///< RDMA read request wire size
-  std::uint32_t ud_mtu = 2048;       ///< max UD datagram payload (path MTU)
-  /// RC retransmission timeout: an unacked RC WR is resent after this long
-  /// (ibv qp_attr.timeout equivalent; the interval doubles per retry). 0
-  /// disables retransmission and restores fire-and-forget behaviour. Must
-  /// comfortably exceed serialization + receiver queueing of the largest
-  /// message under fan-in congestion, so lossless runs never retransmit —
-  /// real HCAs default far higher (~67 ms) for the same reason.
-  sim::Time rc_retransmit_ns = 10'000'000;
-  /// Retries before the WR completes with retry_exceeded and the QP is
-  /// moved to error (ibv qp_attr.retry_cnt equivalent).
-  std::uint32_t rc_retry_count = 7;
 };
+
+inline constexpr sim::Time kPollCqNs = 60;          ///< per-completion poll cost
+inline constexpr sim::Time kInterruptNs = 4000;     ///< event-mode completion wake-up
+inline constexpr sim::Time kRegMrBaseNs = 900;      ///< memory registration: pin + table setup
+inline constexpr sim::Time kRegMrPerPageNs = 90;    ///< per 4 KiB page
+inline constexpr std::uint32_t kAckBytes = 30;      ///< RC acknowledgement wire size
+inline constexpr std::uint32_t kReadReqBytes = 48;  ///< RDMA read request wire size
+inline constexpr std::uint32_t kUdMtu = 2048;       ///< max UD datagram payload (path MTU)
+/// RC retransmission timeout: an unacked RC WR is resent after this long
+/// (ibv qp_attr.timeout equivalent; the interval doubles per retry). Must
+/// comfortably exceed serialization + receiver queueing of the largest
+/// message under fan-in congestion, so lossless runs never retransmit —
+/// real HCAs default far higher (~67 ms) for the same reason.
+inline constexpr sim::Time kRcRetransmitNs = 10'000'000;
+/// Retries before the WR completes with retry_exceeded and the QP is
+/// moved to error (ibv qp_attr.retry_cnt equivalent).
+inline constexpr std::uint32_t kRcRetryCount = 7;
 
 }  // namespace rmc::verbs

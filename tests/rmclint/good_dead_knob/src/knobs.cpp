@@ -9,4 +9,10 @@ GadgetBehavior make_gadget() {
   return g;
 }
 
+GadgetCosts fast_gadget_costs() {
+  GadgetCosts c{.build_ns = 2};
+  c.ring_ns = 1;
+  return c;
+}
+
 }  // namespace fx

@@ -21,6 +21,13 @@ struct GadgetBehavior {
   int area() const { return width * kLimit; }
 };
 
+// A cost table whose every field some profile sets.
+struct GadgetCosts {
+  int build_ns = 10;
+  int ring_ns = 5;
+};
+
 GadgetBehavior make_gadget();
+GadgetCosts fast_gadget_costs();
 
 }  // namespace fx

@@ -225,7 +225,7 @@ def check_io_hygiene(project: Project) -> list[Finding]:
 
 # ----------------------------------------------------------------- dead-knob
 
-KNOB_STRUCT_RE = re.compile(r"\bstruct\s+(?P<name>\w+(?:Config|Behavior))\s*\{")
+KNOB_STRUCT_RE = re.compile(r"\bstruct\s+(?P<name>\w+(?:Config|Behavior|Costs))\s*\{")
 # A write to a member: `x.a = v`, `p->a = v`, `x.a.b.c += v`, or a
 # designated initializer `.a = v` / `.a{v}`. Every name on the path counts.
 KNOB_WRITE_RE = re.compile(
@@ -239,8 +239,8 @@ KNOB_TEMPLATE_ARGS_RE = re.compile(r"<[^<>]*>")
 
 
 def _knob_fields(sf: SourceFile) -> list[tuple[str, str, int]]:
-    """(struct, field, line) for every data member of a *Config or *Behavior
-    struct defined in `sf`. Nested types, static members and member
+    """(struct, field, line) for every data member of a *Config, *Behavior
+    or *Costs struct defined in `sf`. Nested types, static members and member
     functions are not fields; a member's brace initializer is skipped."""
     fields: list[tuple[str, str, int]] = []
     lines = sf.code_lines
@@ -288,7 +288,7 @@ def _knob_fields(sf: SourceFile) -> list[tuple[str, str, int]]:
 
 
 def check_dead_knobs(project: Project) -> list[Finding]:
-    """A field of a *Config or *Behavior struct under src/ that nothing in
+    """A field of a *Config, *Behavior or *Costs struct under src/ that nothing in
     the scanned tree assigns is a constant dressed as a knob. Lexical and
     name-based: a write to any member of the same name counts."""
     written: set[str] = set()
@@ -330,7 +330,8 @@ ALL_RULES = {
     "blessed protocol helpers",
     "zeroalloc": "ban allocation in hot-path-tagged files",
     "io-hygiene": "ban direct stdout/stderr I/O in src/",
-    "dead-knob": "every field of a *Config or *Behavior struct in src/ is assigned somewhere",
+    "dead-knob": "every field of a *Config, *Behavior or *Costs struct in src/ is assigned "
+    "somewhere",
     "metrics-registry": "cross-check metric names between code and docs/tests/tools",
     "bad-suppression": "allow() annotations must name a rule and justify",
     "unused-suppression": "allow() annotations must suppress a real finding",
