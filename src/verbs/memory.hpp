@@ -58,25 +58,23 @@ class ProtectionDomain {
     next_key_ += 2;
     auto mr = std::make_unique<MemoryRegion>(*this, memory, keys);
     MemoryRegion& ref = *mr;
-    by_lkey_.emplace(keys.lkey, mr.get());
     by_rkey_.emplace(keys.rkey, mr.get());
     regions_.emplace(keys.lkey, std::move(mr));
     return ref;
   }
 
   void deregister_mr(MemoryRegion& mr) {
-    by_lkey_.erase(mr.lkey());
     by_rkey_.erase(mr.rkey());
     regions_.erase(mr.lkey());
   }
 
   /// Validate a local buffer against an lkey. Returns the MR or an error.
   Result<MemoryRegion*> check_local(std::uint32_t lkey, std::span<const std::byte> buf) const {
-    auto it = by_lkey_.find(lkey);
-    if (it == by_lkey_.end()) return Errc::invalid_argument;
+    auto it = regions_.find(lkey);
+    if (it == regions_.end()) return Errc::invalid_argument;
     if (!it->second->contains(reinterpret_cast<std::uint64_t>(buf.data()), buf.size()))
       return Errc::invalid_argument;
-    return it->second;
+    return it->second.get();
   }
 
   /// Validate remote access (addr, len) under an rkey.
@@ -91,8 +89,7 @@ class ProtectionDomain {
   std::size_t region_count() const { return regions_.size(); }
 
  private:
-  std::unordered_map<std::uint32_t, std::unique_ptr<MemoryRegion>> regions_;
-  std::unordered_map<std::uint32_t, MemoryRegion*> by_lkey_;
+  std::unordered_map<std::uint32_t, std::unique_ptr<MemoryRegion>> regions_;  ///< by lkey
   std::unordered_map<std::uint32_t, MemoryRegion*> by_rkey_;
   std::uint32_t next_key_ = 0x1000;
 };

@@ -152,14 +152,11 @@ class QueuePair {
   }
 
   /// Shared body of post_send / post_send_batch: validate, window-check,
-  /// and transmit one WR, charging `post_charge` host-CPU ns for the post
+  /// and issue one WR, charging `post_charge` host-CPU ns for the post
   /// (post_wr_ns for a solo post; the WQE-build share for batched WRs).
   Status post_send_charged(const SendWr& wr, sim::Time post_charge);
 
-  /// Build and transmit one numbered SEND (registers the pending-ack
-  /// entry and advances next_psn_), charging `post_charge` for the post.
-  void transmit_send(const SendWr& wr, sim::Time post_charge);
-  /// Transmit backlogged SENDs while the window has room.
+  /// Issue backlogged SENDs while the window has room.
   void drain_tx_backlog();
 
   /// HCA side: take the next receive buffer (SRQ first if attached).
