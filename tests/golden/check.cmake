@@ -1,10 +1,12 @@
 # Runs one program and diffs what it prints against its golden capture.
 #
 #   cmake -DPROG=<exe> -DARGS="<args>" -DNAME=<name> -DFILES="<files>"
-#         -DGOLDEN=<tests/golden> -DWORK=<scratch dir> -P check.cmake
+#         [-DNO_STDOUT=ON] -DGOLDEN=<tests/golden> -DWORK=<scratch dir>
+#         -P check.cmake
 #
-# The program runs in WORK/NAME. Its stdout must equal GOLDEN/NAME.txt, and
-# every file named in FILES that it writes there must equal GOLDEN/<file>.
+# The program runs in WORK/NAME. Its stdout must equal GOLDEN/NAME.txt
+# (unless NO_STDOUT is set), and every file named in FILES that it writes
+# there must equal GOLDEN/<file>.
 # With -DBLESS=ON the run rewrites those goldens instead; the
 # bless_goldens target in tests/CMakeLists.txt does that for every capture.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
@@ -20,8 +22,12 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${NAME}: ${PROG} exited with ${rc}")
 endif()
 
+set(compared ${files})
+if(NOT NO_STDOUT)
+  list(PREPEND compared "${NAME}.txt")
+endif()
 set(differs "")
-foreach(f "${NAME}.txt" ${files})
+foreach(f ${compared})
   if(BLESS)
     file(COPY_FILE "${dir}/${f}" "${GOLDEN}/${f}")
     continue()
