@@ -23,6 +23,7 @@
 #include "memcached/client.hpp"
 #include "memcached/server.hpp"
 #include "obs/profiler.hpp"
+#include "onesided/publisher.hpp"
 #include "rfp/ring_server.hpp"
 #include "simnet/netparams.hpp"
 
@@ -199,6 +200,137 @@ TEST(ZeroAlloc, SteadyStateUcrMgetAllocatesNothing) {
   EXPECT_TRUE(done);
   EXPECT_EQ(failures, 0);
   EXPECT_EQ(delta, 0) << "heap allocations on the steady-state mget path";
+}
+
+// A one-sided GET hit is one RDMA Read the server CPU never sees: the
+// runtime's in-flight record for it recycles a slot, so once warm the
+// read, its completion and the client-side checks allocate nothing.
+TEST(ZeroAlloc, SteadyStateOneSidedGetAllocatesNothing) {
+  Scheduler sched;
+  sim::Fabric ib{sched, sim::ib_qdr_link()};
+  sim::Host server_host{sched, 0, "server", 8};
+  sim::Host client_host{sched, 1, "client", 8};
+  verbs::Hca server_hca{sched, ib, server_host};
+  verbs::Hca client_hca{sched, ib, client_host};
+  ucr::Runtime server_ucr{server_hca};
+  ucr::Runtime client_ucr{client_hca};
+  Server server{sched, server_host, {}};
+  server.attach_ucr_frontend(server_ucr);
+  onesided::Publisher publisher{server_ucr, server_host, server.store()};
+
+  ClientBehavior behavior;
+  behavior.mode = ClientBehavior::Mode::onesided_get;
+  Client client{sched, client_host, behavior};
+  client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
+
+  bool done = false;
+  long long delta = -1;
+  long long failures = 0;
+  std::uint64_t reads = 0;
+
+  sched.spawn([](Scheduler& s, Client& cli, bool& fin, long long& delta2,
+                 long long& failures2, std::uint64_t& reads2) -> Task<> {
+    if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
+    const std::string value(64, 'v');
+    if (!(co_await cli.set("hot-key", val(value), 7)).ok()) {
+      ADD_FAILURE() << "set";
+      co_return;
+    }
+
+    std::array<std::byte, 256> dest;
+    for (int i = 0; i < 12000; ++i) {
+      auto r = co_await cli.get_into("hot-key", dest);
+      if (!r.ok() || r->value_len != 64) { ADD_FAILURE() << "warm-up get"; co_return; }
+    }
+    co_await s.delay(kDrainTimeouts);
+
+    obs::Counter& read_metric = obs::registry().counter("mc.oneside.reads");
+    const std::uint64_t reads_before = read_metric.value();
+    const long long before = g_news;
+    for (int i = 0; i < 10000; ++i) {
+      auto r = co_await cli.get_into("hot-key", dest);
+      if (!r.ok() || r->value_len != 64 || r->flags != 7) ++failures2;
+    }
+    delta2 = g_news - before;
+    reads2 = read_metric.value() - reads_before;
+    fin = true;
+  }(sched, client, done, delta, failures, reads));
+  sched.run();
+
+  EXPECT_TRUE(done);
+  EXPECT_EQ(failures, 0);
+  EXPECT_GE(reads, 10000u) << "the GETs did not ride RDMA Reads";
+  EXPECT_EQ(delta, 0) << "heap allocations on the steady-state one-sided GET path";
+}
+
+// A rendezvous active message with origin and completion counters: the
+// origin's record awaiting its acks, the target's pull record and the
+// user header it keeps until the pull completes all recycle storage, so
+// once warm a message allocates nothing on either runtime.
+TEST(ZeroAlloc, SteadyStateRendezvousMessagesAllocateNothing) {
+  Scheduler sched;
+  sim::Fabric ib{sched, sim::ib_qdr_link()};
+  sim::Host server_host{sched, 0, "server", 8};
+  sim::Host client_host{sched, 1, "client", 8};
+  verbs::Hca server_hca{sched, ib, server_host};
+  verbs::Hca client_hca{sched, ib, client_host};
+  ucr::Runtime server_ucr{server_hca};
+  ucr::Runtime client_ucr{client_hca};
+  constexpr std::uint16_t kMsg = 40;
+  std::vector<std::byte> dest(32 * 1024);
+  std::vector<std::byte> payload(dest.size(), std::byte{0x42});
+  server_ucr.register_region(dest);
+  client_ucr.register_region(payload);
+  long long completions = 0;
+  server_ucr.register_handler(
+      kMsg, {.on_header = [&dest](ucr::Endpoint&, std::span<const std::byte>,
+                                  std::uint32_t) { return std::span<std::byte>(dest); },
+             .on_complete = [&completions](ucr::Endpoint&, std::span<const std::byte> header,
+                                           std::span<std::byte> data) {
+               if (header.size() == 96 && data.size() == 32 * 1024) ++completions;
+             }});
+  server_ucr.listen(7000, [](ucr::Endpoint&) {});
+  ucr::Endpoint* ep = nullptr;
+  sched.spawn([](ucr::Runtime& rt, sim::NicAddr dst, ucr::Endpoint*& out) -> Task<> {
+    auto r = co_await rt.connect(dst, 7000);
+    if (r.ok()) out = *r;
+  }(client_ucr, server_ucr.addr(), ep));
+  sched.run();
+  ASSERT_NE(ep, nullptr);
+
+  sim::Counter origin{sched};
+  sim::Counter completion{sched};
+  bool done = false;
+  long long delta = -1;
+  long long failures = 0;
+  sched.spawn([](ucr::Runtime& rt, ucr::Endpoint& e, std::vector<std::byte>& data,
+                 sim::Counter& org, sim::Counter& cpl, bool& fin, long long& delta2,
+                 long long& failures2) -> Task<> {
+    const std::array<std::byte, 96> header{};
+    std::uint64_t sent = 0;
+    auto one = [&]() -> Task<bool> {
+      if (!rt.send_message(e, kMsg, header, data, &org, {}, &cpl).ok()) co_return false;
+      ++sent;
+      co_return (co_await org.wait_geq(sent)) && (co_await cpl.wait_geq(sent));
+    };
+    for (int i = 0; i < 2000; ++i) {
+      if (!co_await one()) { ADD_FAILURE() << "warm-up message"; co_return; }
+    }
+    const long long before = g_news;
+    for (int i = 0; i < 2000; ++i) {
+      if (!co_await one()) ++failures2;
+    }
+    delta2 = g_news - before;
+    fin = true;
+  }(client_ucr, *ep, payload, origin, completion, done, delta, failures));
+  sched.run();
+
+  EXPECT_TRUE(done);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(completions, 4000);
+  EXPECT_EQ(client_ucr.pending_op_count(), 0u);
+  EXPECT_EQ(server_ucr.pending_op_count(), 0u);
+  EXPECT_EQ(delta, 0) << "heap allocations on the steady-state rendezvous path";
 }
 
 // The RFP rings inherit the property for GET *and* SET: framing the
