@@ -26,6 +26,11 @@ class SlotMap {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// The slot a key names. Slots are dense from 0 and recycled through the
+  /// free list, so a caller may keep side storage per slot: it is reused
+  /// with the slot and never shared by two live entries.
+  static std::uint32_t slot(Key key) { return static_cast<std::uint32_t>(key >> 32); }
+
   template <typename... Args>
   Key emplace(Args&&... args) {
     std::uint32_t index;
@@ -47,7 +52,7 @@ class SlotMap {
   /// invalidated by any later emplace() (vector growth) — re-lookup after
   /// suspension points, exactly as with an unordered_map under rehash.
   T* get(Key key) {
-    const std::uint32_t index = static_cast<std::uint32_t>(key >> 32);
+    const std::uint32_t index = slot(key);
     if (index >= slots_.size()) return nullptr;
     Slot& s = slots_[index];
     if (!s.occupied || s.generation != static_cast<std::uint32_t>(key)) return nullptr;
@@ -55,7 +60,7 @@ class SlotMap {
   }
 
   bool erase(Key key) {
-    const std::uint32_t index = static_cast<std::uint32_t>(key >> 32);
+    const std::uint32_t index = slot(key);
     if (index >= slots_.size()) return false;
     Slot& s = slots_[index];
     if (!s.occupied || s.generation != static_cast<std::uint32_t>(key)) return false;
