@@ -1,12 +1,15 @@
 # Runs one program and diffs what it prints against its golden capture.
 #
 #   cmake -DPROG=<exe> -DARGS="<args>" -DNAME=<name> -DFILES="<files>"
-#         [-DNO_STDOUT=ON] -DGOLDEN=<tests/golden> -DWORK=<scratch dir>
-#         -P check.cmake
+#         [-DNO_STDOUT=ON] [-DEXPECT=<name>] [-DFILTER=<regex>]
+#         -DGOLDEN=<tests/golden> -DWORK=<scratch dir> -P check.cmake
 #
 # The program runs in WORK/NAME. Its stdout must equal GOLDEN/NAME.txt
 # (unless NO_STDOUT is set), and every file named in FILES that it writes
-# there must equal GOLDEN/<file>.
+# there must equal GOLDEN/<file>. EXPECT names another capture to compare
+# stdout against, GOLDEN/EXPECT.txt: a run whose flags must not move that
+# capture. FILTER drops every stdout line that matches it before the
+# comparison, for lines that are not reproducible.
 # With -DBLESS=ON the run rewrites those goldens instead; the
 # bless_goldens target in tests/CMakeLists.txt does that for every capture.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
@@ -21,6 +24,11 @@ execute_process(COMMAND "${PROG}" ${args}
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${NAME}: ${PROG} exited with ${rc}")
 endif()
+if(FILTER)
+  file(READ "${dir}/${NAME}.txt" out)
+  string(REGEX REPLACE "[^\n]*${FILTER}[^\n]*\n" "" out "${out}")
+  file(WRITE "${dir}/${NAME}.txt" "${out}")
+endif()
 
 set(compared ${files})
 if(NOT NO_STDOUT)
@@ -28,17 +36,21 @@ if(NOT NO_STDOUT)
 endif()
 set(differs "")
 foreach(f ${compared})
+  set(golden "${f}")
+  if(EXPECT AND f STREQUAL "${NAME}.txt")
+    set(golden "${EXPECT}.txt")
+  endif()
   if(BLESS)
-    file(COPY_FILE "${dir}/${f}" "${GOLDEN}/${f}")
+    file(COPY_FILE "${dir}/${f}" "${GOLDEN}/${golden}")
     continue()
   endif()
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${GOLDEN}/${f}" "${dir}/${f}"
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${GOLDEN}/${golden}" "${dir}/${f}"
                   RESULT_VARIABLE same)
   if(NOT same EQUAL 0)
-    list(APPEND differs "${f}")
+    list(APPEND differs "${golden}")
     find_program(DIFF diff)
     if(DIFF)
-      execute_process(COMMAND "${DIFF}" -u "${GOLDEN}/${f}" "${dir}/${f}")
+      execute_process(COMMAND "${DIFF}" -u "${GOLDEN}/${golden}" "${dir}/${f}")
     endif()
   endif()
 endforeach()
