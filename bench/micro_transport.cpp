@@ -101,8 +101,10 @@ double socket_one_way_us(sim::LinkParams link, sock::StackCosts costs, std::size
 int main() {
   std::printf("=== Transport micro-benchmarks (substrate validation) ===\n\n");
 
-  verbs::VerbsCosts qdr_costs{.post_wr_ns = 250, .hca_process_ns = 250};
-  verbs::VerbsCosts ddr_costs{.post_wr_ns = 350, .hca_process_ns = 350};
+  verbs::VerbsCosts qdr_costs{
+      .post_wr_ns = 250, .hca_process_ns = 250, .hca_inbound_write_ns = 250};
+  verbs::VerbsCosts ddr_costs{
+      .post_wr_ns = 350, .hca_process_ns = 350, .hca_inbound_write_ns = 350};
 
   {
     Table t("one-way latency (us) by payload size",

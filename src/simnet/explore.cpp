@@ -5,6 +5,14 @@
 
 namespace rmc::sim {
 
+namespace {
+/// Bounds of exhaustive enumeration. Decisions past the per-run bound fall
+/// back to insertion order and are not branched on (bounded-exhaustive);
+/// the DFS stops after the schedule bound.
+constexpr std::size_t kMaxSchedules = 1u << 20;
+constexpr std::size_t kMaxDecisionsPerRun = 64;
+}  // namespace
+
 ScheduleExplorer ScheduleExplorer::permutation(std::uint64_t seed) {
   ScheduleExplorer e;
   e.mode_ = ExploreMode::permutation;
@@ -12,10 +20,9 @@ ScheduleExplorer ScheduleExplorer::permutation(std::uint64_t seed) {
   return e;
 }
 
-ScheduleExplorer ScheduleExplorer::exhaustive(ExploreLimits limits) {
+ScheduleExplorer ScheduleExplorer::exhaustive() {
   ScheduleExplorer e;
   e.mode_ = ExploreMode::exhaustive;
-  e.limits_ = limits;
   return e;
 }
 
@@ -60,7 +67,7 @@ std::size_t ScheduleExplorer::pick(Time t, std::size_t ready) {
       return std::min<std::size_t>(want, ready - 1);
     }
     case ExploreMode::exhaustive: {
-      if (cursor_ >= limits_.max_decisions_per_run) {
+      if (cursor_ >= kMaxDecisionsPerRun) {
         // Bounded-exhaustive: past the decision budget, fall back to the
         // default order without branching. The DFS tree stays finite.
         run_truncated_ = true;
@@ -125,7 +132,7 @@ ExploreReport ScheduleExplorer::explore(
       break;
     }
     ++path_.back().choice;
-    if (report.schedules >= limits_.max_schedules) break;
+    if (report.schedules >= kMaxSchedules) break;
   }
   report.decisions = nodes_created_;
   return report;

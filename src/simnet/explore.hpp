@@ -43,20 +43,12 @@ enum class ExploreMode : std::uint8_t {
   replay,       ///< follow a fixed trace, then insertion order
 };
 
-/// Bounds for exhaustive enumeration. Decisions beyond
-/// max_decisions_per_run fall back to insertion order and are not
-/// branched on (bounded-exhaustive); schedules stop the DFS when reached.
-struct ExploreLimits {
-  std::size_t max_schedules = 1u << 20;
-  std::size_t max_decisions_per_run = 64;
-};
-
 struct ExploreReport {
   std::size_t schedules = 0;      ///< complete schedules executed
   std::size_t decisions = 0;      ///< total fanout>1 decision points seen
   std::size_t max_depth = 0;      ///< deepest decision prefix reached
   bool exhausted = false;         ///< true iff the full bounded tree was walked
-  bool truncated_runs = false;    ///< some run hit max_decisions_per_run
+  bool truncated_runs = false;    ///< some run hit the per-run decision bound
   std::string failed_invariant;   ///< empty iff every schedule held
   std::vector<std::uint32_t> failing_trace;  ///< decisions reproducing it
 };
@@ -67,7 +59,7 @@ class ScheduleExplorer final : public TieBreaker {
   ScheduleExplorer() = default;
 
   static ScheduleExplorer permutation(std::uint64_t seed);
-  static ScheduleExplorer exhaustive(ExploreLimits limits = {});
+  static ScheduleExplorer exhaustive();
   static ScheduleExplorer replay(std::vector<std::uint32_t> trace);
 
   ExploreMode mode() const { return mode_; }
@@ -110,7 +102,6 @@ class ScheduleExplorer final : public TieBreaker {
   };
 
   ExploreMode mode_ = ExploreMode::insertion;
-  ExploreLimits limits_;
   Rng rng_;
   bool record_trace_ = true;
 

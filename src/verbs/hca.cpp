@@ -93,10 +93,9 @@ sim::Task<> Hca::dispatch() {
     // in-bound RDMA Write may be charged its own (cheaper) engine time —
     // it consumes no receive WQE and raises no CQE at this end.
     const auto* ib = static_cast<const wire::IbPacket*>(packet->get());
-    const sim::Time engine_ns =
-        (ib->kind == wire::Kind::rdma_write && costs_.hca_inbound_write_ns)
-            ? *costs_.hca_inbound_write_ns
-            : costs_.hca_process_ns;
+    const sim::Time engine_ns = ib->kind == wire::Kind::rdma_write
+                                    ? costs_.hca_inbound_write_ns
+                                    : costs_.hca_process_ns;
     co_await sched_->delay(engine_ns);
     handle(std::unique_ptr<wire::IbPacket>(static_cast<wire::IbPacket*>(packet->release())));
   }

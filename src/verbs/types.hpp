@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "simnet/time.hpp"
@@ -102,11 +101,9 @@ struct VerbsCosts {
   sim::Time hca_process_ns = 250;    ///< adapter packet processing, per message
   /// In-bound RDMA Write processing, per message. Real adapters place an
   /// incoming write cheaper than a SEND (no WQE consumed, no CQE raised at
-  /// the target), so profiles may split the two. Disengaged (the default)
-  /// inherits the symmetric hca_process_ns charge for every packet kind,
-  /// so existing figures are byte-identical; an engaged value is charged
-  /// as-is — including 0 for a genuinely free in-bound engine pass.
-  std::optional<sim::Time> hca_inbound_write_ns = std::nullopt;
+  /// the target), so every testbed profile sets it below hca_process_ns;
+  /// the default equals the default hca_process_ns.
+  sim::Time hca_inbound_write_ns = 250;
 };
 
 inline constexpr sim::Time kPollCqNs = 60;          ///< per-completion poll cost
