@@ -234,26 +234,26 @@ sim::Task<Result<Endpoint*>> Runtime::connect(sim::NicAddr dst, std::uint16_t po
 }
 
 void Runtime::close(Endpoint& ep) {
-  if (ep.state_ == EpState::closed) return;
   if (ep.state_ == EpState::failed) {
     // Already torn down and queued for reclamation by fail_endpoint.
     ep.state_ = EpState::closed;
     return;
   }
-  // Mark closed *before* disconnecting: the QP's on_error fires during
-  // disconnect and must see a terminal state so it doesn't double-fail.
-  ep.state_ = EpState::closed;
-  ep.backlog_.clear();
-  detach_endpoint(ep);
-  if (ep.type_ == EpType::reliable) hca_->disconnect(*ep.qp_);
-  retire_endpoint(ep);
+  (void)teardown(ep, EpState::closed);
 }
 
 void Runtime::fail_endpoint(Endpoint& ep, Errc reason) {
-  if (ep.state_ == EpState::closed || ep.state_ == EpState::failed) return;
-  ep.state_ = EpState::failed;
-  ep.backlog_.clear();
+  if (!teardown(ep, EpState::failed)) return;
   obs::registry().counter("ucr.ep.failures").inc();
+  notify_endpoint_down(ep, reason);
+}
+
+bool Runtime::teardown(Endpoint& ep, EpState end) {
+  if (ep.state_ == EpState::closed || ep.state_ == EpState::failed) return false;
+  // Terminal *before* disconnecting: the QP's on_error fires during
+  // disconnect and must not fail the endpoint a second time.
+  ep.state_ = end;
+  ep.backlog_.clear();
   detach_endpoint(ep);
   // Error the QP: flushes its outstanding verbs WRs (their completions
   // find no record once the loop below has run) and, if the wire still
@@ -271,9 +271,8 @@ void Runtime::fail_endpoint(Endpoint& ep, Errc reason) {
     if (op.completion) op.completion->fail_waiters();
     in_flight_.erase(token);
   });
-
-  notify_endpoint_down(ep, reason);
   retire_endpoint(ep);
+  return true;
 }
 
 void Runtime::detach_endpoint(Endpoint& ep) {

@@ -116,7 +116,9 @@ class Runtime {
                                        EpType type = EpType::reliable,
                                        sim::Time timeout = 1 * kNsPerSec);
 
-  /// Tear one endpoint down; other endpoints are unaffected (§IV-A).
+  /// Tear one endpoint down: every pending operation tied to it completes
+  /// with an error now, as on fail_endpoint, but no handler is notified.
+  /// Other endpoints are unaffected (§IV-A).
   void close(Endpoint& ep);
 
   // ------------------------------------------------------ failure events
@@ -242,6 +244,10 @@ class Runtime {
   void flush_backlog(Endpoint& ep);
   void return_credits(Endpoint& ep);
 
+  /// The one teardown of close() and fail_endpoint: put `ep` in state
+  /// `end`, detach and disconnect it, erase its in-flight records, fail
+  /// their waiters and retire it. False if it was already torn down.
+  bool teardown(Endpoint& ep, EpState end);
   /// Remove the endpoint from the routing maps (no more inbound dispatch).
   void detach_endpoint(Endpoint& ep);
   /// Deferred on_endpoint_down delivery.

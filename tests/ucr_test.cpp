@@ -735,6 +735,30 @@ TEST(Faults, SendOnClosedEndpointFails) {
       Errc::disconnected);
 }
 
+TEST(Faults, CloseFailsPendingSendsToADownedNode) {
+  // An eager send whose ack can never come, then close(): its record goes
+  // with the endpoint, and a waiter with no timeout wakes with failure
+  // instead of sleeping forever.
+  World w;
+  w.establish();
+  w.fabric.faults().set_node_down(w.server.addr(), true);
+  sim::Counter completion{w.sched};
+  ASSERT_TRUE(
+      w.client.send_message(*w.client_ep, kMsgPing, {}, {}, nullptr, {}, &completion).ok());
+  int woke = -1;  // -1 while waiting, then 1 for success and 0 for failure
+  w.sched.spawn([](sim::Counter& c, int& out) -> Task<> {
+    out = (co_await c.wait_geq(1)) ? 1 : 0;
+  }(completion, woke));
+  w.sched.run_until(w.sched.now() + 100_us);
+  ASSERT_EQ(woke, -1);
+  ASSERT_GT(w.client.pending_op_count(), 0u);
+
+  w.client.close(*w.client_ep);
+  EXPECT_EQ(w.client.pending_op_count(), 0u);
+  w.sched.run_until(w.sched.now() + 100_us);
+  EXPECT_EQ(woke, 0);
+}
+
 // --------------------------------------------------- untrusted peers ----
 
 /// A bare verbs QP connected to a listening runtime. It sends hand-built
