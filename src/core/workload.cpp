@@ -350,7 +350,7 @@ sim::Task<> client_task(TestBed& bed, const OpStream& stream, Run& run, std::siz
 
     // Tally key #j of a lookup: a hit (checked against what was written)
     // or, when `got` is null, a miss.
-    auto account = [&](std::size_t j, const mc::proto::Value* got) {
+    auto account = [&](std::size_t j, const mc::Value* got) {
       ShardStats& shard = r.shards[s.shards[j]];
       if (got != nullptr) {
         ++r.hits;

@@ -79,7 +79,7 @@ bool carries_flags(Opcode op) {
 
 }  // namespace
 
-std::vector<std::byte> encode_request(const Request& request) {
+void encode_request(const Request& request, std::vector<std::byte>& out) {
   std::uint8_t extras_len = 0;
   if (carries_flags(request.opcode)) {
     extras_len = 8;  // flags + exptime
@@ -89,13 +89,13 @@ std::vector<std::byte> encode_request(const Request& request) {
     extras_len = 4;  // exptime
   }
 
-  const std::size_t body =
-      extras_len + request.key.size() + request.value.size();
-  std::vector<std::byte> out(kHeaderSize + body);
-  encode_header(out.data(), {kMagicRequest, request.opcode,
-                             static_cast<std::uint16_t>(request.key.size()), extras_len, 0,
-                             static_cast<std::uint32_t>(body), request.opaque, request.cas});
-  std::byte* cursor = out.data() + kHeaderSize;
+  const std::size_t body = extras_len + request.key.size() + request.value.size();
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderSize + body);
+  encode_header(out.data() + at,
+                {kMagicRequest, request.opcode, static_cast<std::uint16_t>(request.key.size()),
+                 extras_len, 0, static_cast<std::uint32_t>(body), request.opaque, request.cas});
+  std::byte* cursor = out.data() + at + kHeaderSize;
   if (carries_flags(request.opcode)) {
     put_u32(cursor, request.flags);
     put_u32(cursor + 4, request.exptime);
@@ -107,53 +107,51 @@ std::vector<std::byte> encode_request(const Request& request) {
     put_u32(cursor, request.exptime);
   }
   cursor += extras_len;
-  std::memcpy(cursor, request.key.data(), request.key.size());
+  if (!request.key.empty()) std::memcpy(cursor, request.key.data(), request.key.size());
   cursor += request.key.size();
-  if (!request.value.empty()) {
-    std::memcpy(cursor, request.value.data(), request.value.size());
-  }
-  return out;
+  if (!request.value.empty()) std::memcpy(cursor, request.value.data(), request.value.size());
 }
 
-std::vector<std::byte> encode_response(const Response& response) {
-  std::uint8_t extras_len = 0;
-  std::vector<std::byte> body_value = response.value;
-  if ((response.opcode == Opcode::get || response.opcode == Opcode::getq ||
-       response.opcode == Opcode::getk || response.opcode == Opcode::getkq) &&
-      response.status == BStatus::ok) {
-    extras_len = 4;  // flags
-  }
-  if ((response.opcode == Opcode::increment || response.opcode == Opcode::decrement) &&
-      response.status == BStatus::ok) {
-    body_value.resize(8);
-    put_u64(body_value.data(), response.number);
-  }
+void encode_response(const Response& response, std::vector<std::byte>& out) {
+  const bool ok = response.status == BStatus::ok;
+  const bool get = response.opcode == Opcode::get || response.opcode == Opcode::getq ||
+                   response.opcode == Opcode::getk || response.opcode == Opcode::getkq;
+  const bool arith =
+      response.opcode == Opcode::increment || response.opcode == Opcode::decrement;
+  const std::uint8_t extras_len = ok && get ? 4 : 0;  // flags
+  // An arith success carries its number as the value.
+  const std::size_t value_len = ok && arith ? 8 : response.value.size();
 
-  const std::size_t body = extras_len + response.key.size() + body_value.size();
-  std::vector<std::byte> out(kHeaderSize + body);
-  encode_header(out.data(),
+  const std::size_t body = extras_len + response.key.size() + value_len;
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderSize + body);
+  encode_header(out.data() + at,
                 {kMagicResponse, response.opcode,
                  static_cast<std::uint16_t>(response.key.size()), extras_len,
                  static_cast<std::uint16_t>(response.status),
                  static_cast<std::uint32_t>(body), response.opaque, response.cas});
-  std::byte* cursor = out.data() + kHeaderSize;
+  std::byte* cursor = out.data() + at + kHeaderSize;
   if (extras_len == 4) {
     put_u32(cursor, response.flags);
     cursor += 4;
   }
-  std::memcpy(cursor, response.key.data(), response.key.size());
+  if (!response.key.empty()) std::memcpy(cursor, response.key.data(), response.key.size());
   cursor += response.key.size();
-  if (!body_value.empty()) std::memcpy(cursor, body_value.data(), body_value.size());
-  return out;
+  if (ok && arith) {
+    put_u64(cursor, response.number);
+  } else if (!response.value.empty()) {
+    std::memcpy(cursor, response.value.data(), response.value.size());
+  }
 }
 
 Result<std::optional<Request>> RequestParser::next() {
-  if (buffer_.size() < kHeaderSize) return std::optional<Request>{};
-  const Header h = decode_header(buffer_.data());
+  const std::span<const std::byte> unread = rx_.unread();
+  if (unread.size() < kHeaderSize) return std::optional<Request>{};
+  const Header h = decode_header(unread.data());
   if (h.magic != kMagicRequest) return Errc::protocol_error;
   if (h.key_len + h.extras_len > h.body_len) return Errc::protocol_error;
   if (h.body_len > 8 * 1024 * 1024) return Errc::protocol_error;
-  if (buffer_.size() < kHeaderSize + h.body_len) return std::optional<Request>{};
+  if (unread.size() < kHeaderSize + h.body_len) return std::optional<Request>{};
 
   Request req;
   req.opcode = h.opcode;
@@ -161,7 +159,7 @@ Result<std::optional<Request>> RequestParser::next() {
   req.opaque = h.opaque;
   req.wire_bytes = kHeaderSize + h.body_len;
 
-  const std::byte* extras = buffer_.data() + kHeaderSize;
+  const std::byte* extras = unread.data() + kHeaderSize;
   if (carries_flags(h.opcode)) {
     if (h.extras_len != 8) return Errc::protocol_error;
     req.flags = get_u32(extras);
@@ -181,23 +179,20 @@ Result<std::optional<Request>> RequestParser::next() {
     return Errc::protocol_error;
   }
 
-  const std::byte* key = extras + h.extras_len;
-  req.key.assign(reinterpret_cast<const char*>(key), h.key_len);
-  const std::byte* value = key + h.key_len;
-  const std::size_t value_len = h.body_len - h.extras_len - h.key_len;
-  req.value.assign(value, value + value_len);
-
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize + h.body_len));
-  return std::optional<Request>(std::move(req));
+  const std::size_t key_at = kHeaderSize + h.extras_len;
+  req.key = {reinterpret_cast<const char*>(unread.data() + key_at), h.key_len};
+  req.value = unread.subspan(key_at + h.key_len, h.body_len - h.extras_len - h.key_len);
+  rx_.consume(kHeaderSize + h.body_len);
+  return std::optional<Request>(req);
 }
 
 Result<std::optional<Response>> ResponseParser::next() {
-  if (buffer_.size() < kHeaderSize) return std::optional<Response>{};
-  const Header h = decode_header(buffer_.data());
+  const std::span<const std::byte> unread = rx_.unread();
+  if (unread.size() < kHeaderSize) return std::optional<Response>{};
+  const Header h = decode_header(unread.data());
   if (h.magic != kMagicResponse) return Errc::protocol_error;
   if (h.key_len + h.extras_len > h.body_len) return Errc::protocol_error;
-  if (buffer_.size() < kHeaderSize + h.body_len) return std::optional<Response>{};
+  if (unread.size() < kHeaderSize + h.body_len) return std::optional<Response>{};
 
   Response resp;
   resp.opcode = h.opcode;
@@ -205,21 +200,27 @@ Result<std::optional<Response>> ResponseParser::next() {
   resp.cas = h.cas;
   resp.opaque = h.opaque;
 
-  const std::byte* extras = buffer_.data() + kHeaderSize;
-  if (h.extras_len == 4) resp.flags = get_u32(extras);
-  const std::byte* key = extras + h.extras_len;
-  resp.key.assign(reinterpret_cast<const char*>(key), h.key_len);
-  const std::byte* value = key + h.key_len;
-  const std::size_t value_len = h.body_len - h.extras_len - h.key_len;
-  resp.value.assign(value, value + value_len);
+  if (h.extras_len == 4) resp.flags = get_u32(unread.data() + kHeaderSize);
+  const std::size_t key_at = kHeaderSize + h.extras_len;
+  resp.key = {reinterpret_cast<const char*>(unread.data() + key_at), h.key_len};
+  resp.value = unread.subspan(key_at + h.key_len, h.body_len - h.extras_len - h.key_len);
   if ((h.opcode == Opcode::increment || h.opcode == Opcode::decrement) &&
-      resp.status == BStatus::ok && value_len == 8) {
-    resp.number = get_u64(value);
+      resp.status == BStatus::ok && resp.value.size() == 8) {
+    resp.number = get_u64(resp.value.data());
   }
+  rx_.consume(kHeaderSize + h.body_len);
+  return std::optional<Response>(resp);
+}
 
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize + h.body_len));
-  return std::optional<Response>(std::move(resp));
+bool ResponseParser::complete_through(Opcode op) const {
+  for (std::span<const std::byte> rest = rx_.unread(); rest.size() >= kHeaderSize;) {
+    const Header h = decode_header(rest.data());
+    if (h.magic != kMagicResponse || h.key_len + h.extras_len > h.body_len) return true;
+    if (rest.size() < kHeaderSize + h.body_len) return false;
+    if (h.opcode == op) return true;
+    rest = rest.subspan(kHeaderSize + h.body_len);
+  }
+  return false;
 }
 
 }  // namespace rmc::mc::bproto

@@ -178,9 +178,9 @@ void clear_slots(std::span<MgetSlot> slots) {
   }
 }
 
-proto::Value owned_value(std::string_view key, std::uint32_t flags, std::uint64_t cas,
-                         std::span<const std::byte> bytes) {
-  proto::Value value;
+Value owned_value(std::string_view key, std::uint32_t flags, std::uint64_t cas,
+                  std::span<const std::byte> bytes) {
+  Value value;
   value.key.assign(key.data(), key.size());
   value.flags = flags;
   value.cas = cas;
@@ -188,7 +188,7 @@ proto::Value owned_value(std::string_view key, std::uint32_t flags, std::uint64_
   return value;
 }
 
-Result<proto::Value> owned_result(std::string_view key, const Result<GetIntoResult>& r) {
+Result<Value> owned_result(std::string_view key, const Result<GetIntoResult>& r) {
   if (!r.ok()) return r.error();
   return owned_value(key, r->flags, r->cas, r->value());
 }
@@ -214,8 +214,9 @@ constexpr std::size_t kRecvChunk = 16 * 1024;
 // -------------------------------------------------------------- stream --
 
 /// The byte-stream half of TextConn and BinaryConn: the socket, the
-/// receive chunk and the one parse-or-receive loop every reply goes
-/// through. `Parser` pops `Reply`s off the stream.
+/// receive chunk, the scratch every request is encoded into, and the one
+/// parse-or-receive loop every reply goes through. `Parser` pops `Reply`s
+/// off the stream as views of its buffer, valid until the next receive.
 template <typename Parser, typename Reply>
 class StreamConn : public ServerConn {
  public:
@@ -244,11 +245,18 @@ class StreamConn : public ServerConn {
   }
 
  protected:
-  /// Marshal and send `request`, then take the first reply.
-  template <typename... Expect>
-  sim::Task<Result<Reply>> round_trip(std::vector<std::byte> request, Expect... expect) {
+  /// Marshal and send the request encoded in scratch_.
+  sim::Task<Status> send_scratch() {
     co_await host_->cpu().consume(kFormatNs);
-    auto sent = co_await socket_->send(request);
+    auto sent = co_await socket_->send(scratch_);
+    if (!sent.ok()) co_return sent.error();
+    co_return Status{};
+  }
+
+  /// Send the request encoded in scratch_, then take the first reply.
+  template <typename... Expect>
+  sim::Task<Result<Reply>> round_trip(Expect... expect) {
+    auto sent = co_await send_scratch();
     if (!sent.ok()) co_return sent.error();
     co_return co_await receive(expect...);
   }
@@ -260,12 +268,19 @@ class StreamConn : public ServerConn {
     while (true) {
       auto parsed = parser_.next(expect...);
       if (!parsed.ok()) co_return parsed.error();
-      if (parsed->has_value()) co_return std::move(**parsed);
-      auto n = co_await socket_->recv(chunk_);
-      if (!n.ok()) co_return n.error();
-      if (*n == 0) co_return Errc::disconnected;
-      parser_.feed(std::span<const std::byte>(chunk_.data(), *n));
+      if (parsed->has_value()) co_return **parsed;
+      auto st = co_await fill();
+      if (!st.ok()) co_return st.error();
     }
+  }
+
+  /// Receive one chunk into the parser.
+  sim::Task<Status> fill() {
+    auto n = co_await socket_->recv(chunk_);
+    if (!n.ok()) co_return n.error();
+    if (*n == 0) co_return Errc::disconnected;
+    parser_.feed(std::span<const std::byte>(chunk_.data(), *n));
+    co_return Status{};
   }
 
   sim::Scheduler* sched_;
@@ -277,6 +292,7 @@ class StreamConn : public ServerConn {
   sock::Socket* socket_ = nullptr;
   Parser parser_;
   std::vector<std::byte> chunk_ = std::vector<std::byte>(kRecvChunk);
+  std::vector<std::byte> scratch_;  ///< the request being sent
 };
 
 // ---------------------------------------------------------------- text --
@@ -305,19 +321,19 @@ class TextConn final : public StreamConn<proto::ResponseParser, proto::Response>
                               bool with_cas) override {
     if (!alive()) co_return Errc::disconnected;
     if (keys.size() > slots.size()) co_return Errc::invalid_argument;
-    proto::Request req;
-    req.command = with_cas ? proto::Command::gets : proto::Command::get;
-    for (const auto& k : keys) {
-      if (!req.add_key(k)) co_return Errc::invalid_argument;
+    for (const std::string_view key : keys) {
+      if (key.size() > proto::Request::kMaxKeyLen) co_return Errc::invalid_argument;
     }
-    auto resp = co_await round_trip(proto::encode_request(req), Expect::values);
+    encode({.command = with_cas ? proto::Command::gets : proto::Command::get}, keys);
+    auto resp = co_await round_trip(Expect::values);
     if (!resp.ok()) co_return resp.error();
 
-    // The reply stays here until the next op: unlanded slots point into it.
-    reply_ = std::move(*resp);
+    // The reply is a view of the parser's buffer, which holds it until the
+    // next op: unlanded slots point into it.
     clear_slots(slots);
     std::size_t copied_bytes = 0;
-    for (const auto& value : reply_.values) {
+    proto::Values values = resp->values;
+    for (proto::Value value; values.next(value);) {
       copied_bytes += value.data.size();
       for (std::size_t i = 0; i < keys.size(); ++i) {
         if (keys[i] == value.key && !slots[i].hit) {
@@ -333,18 +349,18 @@ class TextConn final : public StreamConn<proto::ResponseParser, proto::Response>
   sim::Task<Result<std::uint64_t>> call(const StoreOp& op, std::string_view key,
                                         std::span<const std::byte> value) override {
     if (!alive()) co_return Errc::disconnected;
-    proto::Request req;
-    req.command = encode_verb(proto::kVerbs, op);
-    if (!key.empty()) req.set_key(key);  // flush_all names none
-    req.flags = op.flags;
-    req.exptime = op.exptime;
-    req.cas_unique = op.cas;
-    req.delta = op.delta;
-    req.data.assign(value.begin(), value.end());
+    // flush_all names no key.
+    const std::span<const std::string_view> keys{&key, key.empty() ? 0u : 1u};
+    encode({.command = encode_verb(proto::kVerbs, op),
+            .flags = op.flags,
+            .exptime = op.exptime,
+            .cas_unique = op.cas,
+            .delta = op.delta,
+            .data = value},
+           keys);
     const bool arith = op.verb == StoreOp::Verb::arith;
     const sim::Time t0 = sched_->now();
-    auto resp =
-        co_await round_trip(proto::encode_request(req), arith ? Expect::number : Expect::simple);
+    auto resp = co_await round_trip(arith ? Expect::number : Expect::simple);
     if (!resp.ok()) co_return resp.error();
     if (op.verb == StoreOp::Verb::store) set_spans().total->record(sched_->now() - t0);
     if (arith && resp->type == proto::Response::Type::number) co_return resp->number;
@@ -352,7 +368,20 @@ class TextConn final : public StreamConn<proto::ResponseParser, proto::Response>
   }
 
  private:
-  proto::Response reply_;  ///< last multiget reply (connection storage)
+  /// Encode `request` naming `keys` into scratch_.
+  void encode(proto::Request request, std::span<const std::string_view> keys) {
+    keys_.clear();
+    for (const std::string_view key : keys) {
+      const std::size_t at = keys_.size();
+      keys_.resize(at + mget_entry_size(key));
+      pack_mget_key(keys_.data() + at, key);
+    }
+    request.keys = keys_;
+    scratch_.clear();
+    proto::encode_request(request, scratch_);
+  }
+
+  std::vector<std::byte> keys_;  ///< the request's keys, packed
 };
 
 // -------------------------------------------------------------- binary --
@@ -368,16 +397,15 @@ class BinaryConn final : public StreamConn<bproto::ResponseParser, bproto::Respo
                                             bool /*with_cas*/) override {
     if (!alive()) co_return Errc::disconnected;
     const sim::Time t0 = sched_->now();
-    bproto::Request req;
-    req.opcode = bproto::Opcode::get;
-    req.key = std::string(key);
-    auto resp = co_await round_trip(bproto::encode_request(req));
+    scratch_.clear();
+    bproto::encode_request({.opcode = bproto::Opcode::get, .key = key}, scratch_);
+    auto resp = co_await round_trip();
     if (!resp.ok()) co_return resp.error();
-    if (resp->status != bproto::BStatus::ok) co_return status_of(req.opcode, resp->status).error();
-    held_.clear();  // connection storage holds one op's values
-    held_.push_back(std::move(resp->value));
-    GetIntoResult out{static_cast<std::uint32_t>(held_[0].size()), resp->flags, resp->cas,
-                      land(held_[0], dest).data()};
+    if (resp->status != bproto::BStatus::ok) {
+      co_return status_of(bproto::Opcode::get, resp->status).error();
+    }
+    GetIntoResult out{static_cast<std::uint32_t>(resp->value.size()), resp->flags, resp->cas,
+                      land(resp->value, dest).data()};
     co_await host_->cpu().consume(copy_cost(out.value_len));
     get_spans().total->record(sched_->now() - t0);
     co_return out;
@@ -389,29 +417,31 @@ class BinaryConn final : public StreamConn<bproto::ResponseParser, bproto::Respo
     if (keys.size() > slots.size()) co_return Errc::invalid_argument;
     // Pipeline: one quiet getkq per key, then a noop fence. Misses stay
     // silent; hits come back tagged with opaque and key.
-    std::vector<std::byte> wire;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      bproto::Request req;
-      req.opcode = bproto::Opcode::getkq;
-      req.key = std::string(keys[i]);
-      req.opaque = static_cast<std::uint32_t>(i);
-      const auto bytes = bproto::encode_request(req);
-      wire.insert(wire.end(), bytes.begin(), bytes.end());
-    }
-    bproto::Request fence;
-    fence.opcode = bproto::Opcode::noop;
-    fence.opaque = 0xffffffff;
-    const auto fence_bytes = bproto::encode_request(fence);
-    wire.insert(wire.end(), fence_bytes.begin(), fence_bytes.end());
-
     clear_slots(slots);
-    held_.clear();
-    for (auto resp = co_await round_trip(std::move(wire));; resp = co_await receive()) {
+    scratch_.clear();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      bproto::encode_request({.opcode = bproto::Opcode::getkq,
+                              .key = keys[i],
+                              .opaque = static_cast<std::uint32_t>(i)},
+                             scratch_);
+    }
+    bproto::encode_request({.opcode = bproto::Opcode::noop, .opaque = 0xffffffff}, scratch_);
+    auto sent = co_await send_scratch();
+    if (!sent.ok()) co_return sent;
+
+    // The whole reply is parsed from one buffered stretch, so a value that
+    // misses its slot's dest stays in the parser's buffer until the next op.
+    while (!parser_.complete_through(bproto::Opcode::noop)) {
+      auto st = co_await fill();
+      if (!st.ok()) co_return st;
+    }
+    while (true) {
+      auto resp = parser_.next();
       if (!resp.ok()) co_return resp.error();
-      if (resp->opcode == bproto::Opcode::noop) co_return Status{};
-      if (resp->opcode == bproto::Opcode::getkq && resp->opaque < keys.size()) {
-        held_.push_back(std::move(resp->value));
-        fill_slot(slots[resp->opaque], resp->flags, resp->cas, held_.back());
+      if (!resp->has_value()) co_return Errc::protocol_error;
+      if ((*resp)->opcode == bproto::Opcode::noop) co_return Status{};
+      if ((*resp)->opcode == bproto::Opcode::getkq && (*resp)->opaque < keys.size()) {
+        fill_slot(slots[(*resp)->opaque], (*resp)->flags, (*resp)->cas, (*resp)->value);
       }
     }
   }
@@ -419,18 +449,21 @@ class BinaryConn final : public StreamConn<bproto::ResponseParser, bproto::Respo
   sim::Task<Result<std::uint64_t>> call(const StoreOp& op, std::string_view key,
                                         std::span<const std::byte> value) override {
     if (!alive()) co_return Errc::disconnected;
-    bproto::Request req;  // arith_exptime stays "fail on miss", like the text protocol
-    req.opcode = encode_verb(bproto::kVerbs, op);
-    req.key = std::string(key);
-    req.flags = op.flags;
-    req.exptime = op.exptime;
-    req.cas = op.cas;
-    req.delta = op.delta;
-    req.value.assign(value.begin(), value.end());
+    // arith_exptime stays "fail on miss", like the text protocol.
+    const bproto::Opcode opcode = encode_verb(bproto::kVerbs, op);
+    scratch_.clear();
+    bproto::encode_request({.opcode = opcode,
+                            .key = key,
+                            .value = value,
+                            .flags = op.flags,
+                            .exptime = op.exptime,
+                            .delta = op.delta,
+                            .cas = op.cas},
+                           scratch_);
     const sim::Time t0 = sched_->now();
-    auto resp = co_await round_trip(bproto::encode_request(req));
+    auto resp = co_await round_trip();
     if (!resp.ok()) co_return resp.error();
-    if (resp->status != bproto::BStatus::ok) co_return status_of(req.opcode, resp->status).error();
+    if (resp->status != bproto::BStatus::ok) co_return status_of(opcode, resp->status).error();
     if (op.verb == StoreOp::Verb::store) set_spans().total->record(sched_->now() - t0);
     co_return resp->number;
   }
@@ -455,8 +488,6 @@ class BinaryConn final : public StreamConn<bproto::ResponseParser, bproto::Respo
     }
     return Errc::protocol_error;
   }
-
-  std::vector<std::vector<std::byte>> held_;  ///< last read's values (connection storage)
 };
 
 // ----------------------------------------------------------------- ucr --
@@ -615,7 +646,7 @@ class UcrConn final : public ServerConn {
       std::size_t block = 0;
       bool fits = true;
       for (const auto& key : keys) {
-        block += ucrp::mget_entry_size(key);
+        block += mget_entry_size(key);
         if (block > ucrp::kMaxMgetKeyBlock) {
           fits = false;
           break;
@@ -624,7 +655,7 @@ class UcrConn final : public ServerConn {
       if (fits && ucrp::RequestHeader::kSize + block <= rfp_->max_body()) {
         std::byte packed[ucrp::kMaxMgetKeyBlock];
         std::size_t off = 0;
-        for (const auto& key : keys) off += ucrp::pack_mget_key(packed + off, key);
+        for (const auto& key : keys) off += pack_mget_key(packed + off, key);
         auto reply = co_await rfp_->execute(
             *ep_, {.op = ucrp::Op::mget, .delta = keys.size()},
             std::span<const std::byte>(packed, block), {}, behavior_.op_timeout);
@@ -678,7 +709,7 @@ class UcrConn final : public ServerConn {
         const std::size_t start = next;
         std::size_t bytes = 0;
         while (next < keys.size()) {
-          const std::size_t need = ucrp::mget_entry_size(keys[next]);
+          const std::size_t need = mget_entry_size(keys[next]);
           if (bytes != 0 && bytes + need > budget) break;
           bytes += need;
           ++next;
@@ -819,7 +850,7 @@ class UcrConn final : public ServerConn {
     obs::ProfScope prof{kProfClientBuild};
     std::byte block[ucrp::kMaxMgetKeyBlock];
     std::size_t len = 0;
-    for (const auto& key : keys) len += ucrp::pack_mget_key(block + len, key);
+    for (const auto& key : keys) len += pack_mget_key(block + len, key);
     return send_request({.slots = slots}, {.op = ucrp::Op::mget, .delta = keys.size()},
                         {block, len}, {});
   }
@@ -1228,12 +1259,12 @@ sim::Task<Status> Client::cas(std::string_view key, std::span<const std::byte> v
 
 // get/gets: get_into with no caller buffer, copied out of connection
 // storage into an owning Value.
-sim::Task<Result<proto::Value>> Client::get(std::string_view key) {
+sim::Task<Result<Value>> Client::get(std::string_view key) {
   obs::registry().counter("mc.client.gets").inc();
   co_return owned_result(
       key, co_await with_retries(key, [&](ServerConn& c) { return c.get_into(key, {}, false); }));
 }
-sim::Task<Result<proto::Value>> Client::gets(std::string_view key) {
+sim::Task<Result<Value>> Client::gets(std::string_view key) {
   co_return owned_result(
       key, co_await with_retries(key, [&](ServerConn& c) { return c.get_into(key, {}, true); }));
 }
@@ -1246,7 +1277,7 @@ sim::Task<Result<GetIntoResult>> Client::get_into(std::string_view key,
   co_return r;
 }
 
-sim::Task<Result<std::vector<std::optional<proto::Value>>>> Client::mget(
+sim::Task<Result<std::vector<std::optional<Value>>>> Client::mget(
     std::span<const std::string> keys) {
   if (!std::all_of(keys.begin(), keys.end(), key_fits)) co_return Errc::invalid_argument;
   // Group keys per server and issue all per-server mgets concurrently
@@ -1262,7 +1293,7 @@ sim::Task<Result<std::vector<std::optional<proto::Value>>>> Client::mget(
     positions[server].push_back(i);
   }
 
-  std::vector<std::optional<proto::Value>> out(keys.size());
+  std::vector<std::optional<Value>> out(keys.size());
   Errc first_error = Errc::ok;
   sim::Counter finished(*sched_);
   for (std::size_t server = 0; server < conns_.size(); ++server) {
@@ -1272,7 +1303,7 @@ sim::Task<Result<std::vector<std::optional<proto::Value>>>> Client::mget(
     sched_->spawn([](Client& client, std::size_t index,
                      const std::vector<std::string_view>& group,
                      const std::vector<std::size_t>& pos,
-                     std::vector<std::optional<proto::Value>>& results, Errc& err,
+                     std::vector<std::optional<Value>>& results, Errc& err,
                      sim::Counter& done) -> sim::Task<> {
       // rmclint:allow(coro-lifetime): all arguments live in mget's frame, which
       // stays suspended on `finished` until every per-server task calls done.add().

@@ -36,7 +36,8 @@
 // Landing rule (both read primitives): the value bytes land in the caller's
 // `dest` when one is given and the value fits; otherwise they land in
 // connection storage that stays valid until the next operation on the
-// same connection. The result's `value` span says where they landed.
+// same connection (on a stream connection, the parser's receive buffer).
+// The result's `value` span says where they landed.
 //
 // Copy-charge rule (simulated client CPU, 0.08 ns per byte copied): a
 // path pays for the bytes it copies. UCR RPC lands straight off the wire,
@@ -119,6 +120,15 @@ struct ClientBehavior {
   /// successful operation on an ejected server also rejoins it).
   sim::Time rejoin_interval = 0;
   std::uint32_t rejoin_attempts = 8;
+};
+
+/// An owning read's answer (get, gets, mget): the value copied out of
+/// wherever it landed.
+struct Value {
+  std::string key;
+  std::uint32_t flags = 0;
+  std::uint64_t cas = 0;
+  std::vector<std::byte> data;
 };
 
 /// get_into result. value() is where the bytes landed (see the landing
@@ -206,15 +216,15 @@ class Client {
   sim::Task<Status> cas(std::string_view key, std::span<const std::byte> value,
                         std::uint64_t cas_unique, std::uint32_t flags = 0,
                         std::uint32_t exptime = 0);
-  sim::Task<Result<proto::Value>> get(std::string_view key);
+  sim::Task<Result<Value>> get(std::string_view key);
   /// Zero-allocation GET: value bytes land in `dest`, too_large if they do
   /// not fit (steady-state UCR GETs through this path perform no heap
   /// allocation).
   sim::Task<Result<GetIntoResult>> get_into(std::string_view key, std::span<std::byte> dest);
   /// Like memcached_gets: the returned Value carries the CAS id.
-  sim::Task<Result<proto::Value>> gets(std::string_view key);
+  sim::Task<Result<Value>> gets(std::string_view key);
   /// Multi-get: results positionally match `keys`; miss = nullopt.
-  sim::Task<Result<std::vector<std::optional<proto::Value>>>> mget(
+  sim::Task<Result<std::vector<std::optional<Value>>>> mget(
       std::span<const std::string> keys);
   /// Batched multiget into caller-provided slots (slots[i] answers
   /// keys[i]). With a single-server pool this is a zero-alloc pass-through

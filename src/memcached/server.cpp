@@ -268,9 +268,8 @@ sim::Task<> Server::stream_loop(sock::Socket& socket, std::size_t worker) {
       if (!parse_ns.ok()) {
         if (!is_binary) {
           // Garbage on the stream: memcached answers ERROR and closes.
-          proto::Response error_resp;
-          error_resp.type = proto::Response::Type::error;
-          const auto reply = proto::encode_response(error_resp, false);
+          std::vector<std::byte> reply;
+          proto::encode_response({.type = proto::Response::Type::error}, reply);
           (void)co_await socket.send(reply);
         }
         socket.close();  // binary: the framing is broken; nothing sane to answer
@@ -289,39 +288,44 @@ sim::Task<> Server::stream_loop(sock::Socket& socket, std::size_t worker) {
   }
 }
 
-std::byte* Server::key_space(Keys& keys, std::size_t bytes) {
-  keys.size = static_cast<std::uint32_t>(bytes);
-  if (bytes <= Keys::kInline) return keys.inline_bytes.data();
-  if (free_key_blocks_.empty()) {
-    // rmclint:allow(zeroalloc): one block per wide request in flight, created once; finished requests hand theirs back
-    keys.block = std::make_unique<std::vector<std::byte>>();
-  } else {
-    keys.block = std::move(free_key_blocks_.back());
-    free_key_blocks_.pop_back();
+std::byte* Server::carry(Request& request, std::size_t key_bytes,
+                         std::span<const std::byte> value) {
+  Bytes& bytes = request.bytes;
+  bytes.key_bytes = static_cast<std::uint32_t>(key_bytes);
+  bytes.size = static_cast<std::uint32_t>(key_bytes + value.size());
+  std::byte* at = bytes.inline_bytes.data();
+  if (bytes.size > Bytes::kInline) {
+    if (free_blocks_.empty()) {
+      // rmclint:allow(zeroalloc): one block per wide request in flight, created once; finished requests hand theirs back
+      bytes.block = std::make_unique<std::vector<std::byte>>();
+    } else {
+      bytes.block = std::move(free_blocks_.back());
+      free_blocks_.pop_back();
+    }
+    bytes.block->resize(bytes.size);  // a recycled block grows to its high-water size once
+    at = bytes.block->data();
   }
-  keys.block->resize(bytes);  // a recycled block grows to its high-water size once
-  return keys.block->data();
+  if (!value.empty()) std::memcpy(at + key_bytes, value.data(), value.size());
+  return at;
 }
 
 Result<std::optional<sim::Time>> Server::next_text(proto::RequestParser& parser, Request& out) {
   auto parsed = parser.next();
   if (!parsed.ok()) return parsed.error();
   if (!parsed->has_value()) return std::optional<sim::Time>{};
-  proto::Request& req = **parsed;
+  const proto::Request& req = **parsed;
   out.command = static_cast<std::uint8_t>(req.command);
   out.noreply = req.noreply;
   out.op = decode_verb(proto::kVerbs, req.command,
                        {.flags = req.flags, .exptime = req.exptime, .cas = req.cas_unique,
                         .delta = req.delta});
-  std::size_t bytes = 0;
-  for (std::size_t i = 0; i < req.key_count(); ++i) bytes += ucrp::mget_entry_size(req.key_at(i));
-  std::byte* at = key_space(out.keys, bytes);
-  for (std::size_t i = 0; i < req.key_count(); ++i) at += ucrp::pack_mget_key(at, req.key_at(i));
+  // The stream loop feeds the parser again before the worker runs, so the
+  // keys and the value are copied out of its buffer.
+  std::byte* keys = carry(out, req.keys.size(), req.data);
+  if (!req.keys.empty()) std::memcpy(keys, req.keys.data(), req.keys.size());
   // The line is scanned; the data block is not.
-  const sim::Time parse_ns =
-      charge(McCosts::parse_base_ns, req.wire_bytes - req.data.size(), McCosts::parse_ns_per_byte);
-  out.value = std::move(req.data);
-  return std::optional<sim::Time>{parse_ns};
+  return std::optional<sim::Time>{charge(McCosts::parse_base_ns, req.wire_bytes - req.data.size(),
+                                         McCosts::parse_ns_per_byte)};
 }
 
 Result<std::optional<sim::Time>> Server::next_binary(bproto::RequestParser& parser,
@@ -329,7 +333,7 @@ Result<std::optional<sim::Time>> Server::next_binary(bproto::RequestParser& pars
   auto parsed = parser.next();
   if (!parsed.ok()) return parsed.error();
   if (!parsed->has_value()) return std::optional<sim::Time>{};
-  bproto::Request& req = **parsed;
+  const bproto::Request& req = **parsed;
   out.command = static_cast<std::uint8_t>(req.opcode);
   out.tag = req.opaque;
   out.initial = req.initial;
@@ -343,14 +347,12 @@ Result<std::optional<sim::Time>> Server::next_binary(bproto::RequestParser& pars
       op.mode != SetMode::prepend) {
     op.mode = SetMode::cas;
   }
-  if (req.key.size() > proto::Request::kMaxKeyLen) {
-    // memcached's key limit, as the text parser and the UCR request check
-    // apply it; the binary frame allows 65 535 B.
-    out.error = Errc::invalid_argument;
-  } else {
-    ucrp::pack_mget_key(key_space(out.keys, ucrp::mget_entry_size(req.key)), req.key);
-  }
-  out.value = std::move(req.value);
+  // memcached's key limit, as the text parser and the UCR request check
+  // apply it; the binary frame allows 65 535 B.
+  const bool key_fits = req.key.size() <= proto::Request::kMaxKeyLen;
+  if (!key_fits) out.error = Errc::invalid_argument;
+  std::byte* keys = carry(out, key_fits ? mget_entry_size(req.key) : 0, req.value);
+  if (key_fits) pack_mget_key(keys, req.key);
   // Binary framing needs no line scanning: flat parse cost.
   return std::optional<sim::Time>{McCosts::parse_base_ns / 2};
 }
@@ -378,16 +380,16 @@ sim::Task<> Server::worker_loop(std::size_t index) {
       case Frontend::binary:
         kind = "binary";
         binary_requests.inc();
-        co_await serve_binary(*work);
+        co_await serve_binary(*work, scratch);
         break;
       case Frontend::text:
         text_requests.inc();
         co_await serve_text(*work, scratch);
         break;
     }
-    if (work->request.keys.block) {
+    if (work->request.bytes.block) {
       // rmclint:allow(zeroalloc): the free list grows to the wide requests in flight once
-      free_key_blocks_.push_back(std::move(work->request.keys.block));
+      free_blocks_.push_back(std::move(work->request.bytes.block));
     }
     if (obs::tracer().enabled()) {
       obs::tracer().complete(dequeued_at, sched_->now() - dequeued_at,
@@ -437,9 +439,9 @@ Outcome Server::execute(const StoreOp& op, std::string_view key,
   return out;
 }
 
-void Server::pin_all(const Keys& keys, std::vector<ItemHeader*>& items) {
+void Server::pin_all(std::span<const std::byte> keys, std::vector<ItemHeader*>& items) {
   items.clear();
-  ucrp::MgetKeyReader reader{keys.bytes().data(), keys.size};
+  MgetKeyReader reader{keys.data(), keys.size()};
   std::string_view key;
   while (reader.next(key)) {
     // rmclint:allow(zeroalloc): reusable per-worker scratch; capacity reaches its high-water mark at warmup
@@ -461,7 +463,7 @@ sim::Task<> Server::serve_text(Work& work, WorkerScratch& scratch) {
     std::size_t value_bytes = 0;
     {
       obs::ProfScope prof{kProfExecute};
-      pin_all(req.keys, scratch.items);
+      pin_all(req.bytes.keys(), scratch.items);
       for (const ItemHeader* item : scratch.items) {
         if (item != nullptr) value_bytes += item->value().size();
       }
@@ -506,21 +508,25 @@ sim::Task<> Server::serve_text(Work& work, WorkerScratch& scratch) {
 
   const sim::Time exec_start = sched_->now();
   co_await host_->cpu().consume(
-      charge(McCosts::op_base_ns, req.value.size(), McCosts::value_copy_ns_per_byte));
+      charge(McCosts::op_base_ns, req.bytes.value().size(), McCosts::value_copy_ns_per_byte));
   proto::Response resp;
+  std::string stats;  // the stats reply's message
   {
     obs::ProfScope prof{kProfExecute};
     switch (command) {
       case proto::Command::stats:
+        stats = render_stats();
         resp.type = proto::Response::Type::stats;
-        resp.message = render_stats();
+        resp.message = stats;
         break;
       case proto::Command::version:
         resp.type = proto::Response::Type::version;
         resp.message = kVersion;
         break;
       case proto::Command::quit: break;
-      default: resp = text_reply(command, execute(req.op, req.keys.first(), req.value)); break;
+      default:
+        resp = text_reply(command, execute(req.op, req.bytes.first(), req.bytes.value()));
+        break;
     }
   }
   stage_execute_->record(sched_->now() - exec_start);
@@ -536,26 +542,27 @@ sim::Task<> Server::serve_text(Work& work, WorkerScratch& scratch) {
   {
     obs::ProfScope prof{kProfFormat};
     scratch.out.clear();
-    proto::encode_response_into(resp, false, scratch.out);
+    proto::encode_response(resp, scratch.out);
   }
   stage_format_->record(sched_->now() - format_start);
   bytes_written_ += scratch.out.size();
   (void)co_await work.socket->send(scratch.out);
 }
 
-sim::Task<> Server::serve_binary(Work& work) {
+sim::Task<> Server::serve_binary(Work& work, WorkerScratch& scratch) {
   using bproto::BStatus;
   using bproto::Opcode;
   const Request& req = work.request;
   const auto opcode = static_cast<Opcode>(req.command);
   const sim::Time exec_start = sched_->now();
   co_await host_->cpu().consume(
-      charge(McCosts::op_base_ns, req.value.size(), McCosts::value_copy_ns_per_byte));
+      charge(McCosts::op_base_ns, req.bytes.value().size(), McCosts::value_copy_ns_per_byte));
 
   bproto::Response resp;
   resp.opcode = opcode;
   resp.opaque = static_cast<std::uint32_t>(req.tag);
   bool reply = true;
+  ItemHeader* hit = nullptr;  // pinned until the reply holds its value
   {
     obs::ProfScope exec_prof{kProfExecute};
     switch (opcode) {
@@ -563,8 +570,7 @@ sim::Task<> Server::serve_binary(Work& work) {
       case Opcode::stat:  // minimal stat support: the empty-key terminator packet
         break;
       case Opcode::version:
-        resp.value.assign(reinterpret_cast<const std::byte*>(kVersion.data()),
-                          reinterpret_cast<const std::byte*>(kVersion.data()) + kVersion.size());
+        resp.value = std::as_bytes(std::span(kVersion));
         break;
       case Opcode::quit:
         work.socket->close();
@@ -578,8 +584,8 @@ sim::Task<> Server::serve_binary(Work& work) {
           resp.status = BStatus::unknown_command;
           break;
         }
-        const std::string_view key = req.keys.first();
-        Outcome out = execute(req.op, key, req.value);
+        const std::string_view key = req.bytes.first();
+        Outcome out = execute(req.op, key, req.bytes.value());
         if (out.error == Errc::not_found && req.op.verb == StoreOp::Verb::arith &&
             req.op.exptime != 0xffffffffu) {
           // Binary-only semantics: a miss seeds the counter with `initial`.
@@ -593,11 +599,11 @@ sim::Task<> Server::serve_binary(Work& work) {
         resp.cas = out.cas;
         resp.number = out.number;
         if (out.item != nullptr) {
-          resp.flags = out.item->flags;
-          resp.cas = out.item->cas;
-          resp.value.assign(out.item->value().begin(), out.item->value().end());
+          hit = out.item;
+          resp.flags = hit->flags;
+          resp.cas = hit->cas;
+          resp.value = hit->value();
           if (opcode == Opcode::getk || opcode == Opcode::getkq) resp.key = key;
-          store_.release(out.item);
         } else if (out.error == Errc::not_found && bproto::is_quiet(opcode)) {
           reply = false;  // quiet miss: say nothing (pipelined multiget)
         }
@@ -605,18 +611,21 @@ sim::Task<> Server::serve_binary(Work& work) {
       }
     }
   }
+  if (reply) {
+    // Rendered now, while the hit is pinned; sent after the format charge.
+    obs::ProfScope prof{kProfFormat};
+    scratch.out.clear();
+    bproto::encode_response(resp, scratch.out);
+  }
+  if (hit != nullptr) store_.release(hit);
 
   stage_execute_->record(sched_->now() - exec_start);
   if (!reply) co_return;
   const sim::Time format_start = sched_->now();
   co_await host_->cpu().consume(McCosts::format_base_ns / 2);
-  const auto bytes = [&] {
-    obs::ProfScope prof{kProfFormat};
-    return bproto::encode_response(resp);
-  }();
   stage_format_->record(sched_->now() - format_start);
-  bytes_written_ += bytes.size();
-  (void)co_await work.socket->send(bytes);
+  bytes_written_ += scratch.out.size();
+  (void)co_await work.socket->send(scratch.out);
 }
 
 // --------------------------------------------------------- UCR frontend
@@ -683,10 +692,9 @@ void Server::attach_ucr_frontend(ucr::Runtime& runtime) {
              // keys are copied out. An mget's key is the packed key block.
              const auto key = std::as_bytes(std::span(req.key));
              if (req.header.op == ucrp::Op::mget) {
-               std::memcpy(key_space(request.keys, key.size()), key.data(), key.size());
+               std::memcpy(carry(request, key.size()), key.data(), key.size());
              } else {
-               ucrp::pack_mget_key(key_space(request.keys, ucrp::mget_entry_size(req.key)),
-                                   req.key);
+               pack_mget_key(carry(request, mget_entry_size(req.key)), req.key);
              }
              if (auto it = state->pending_sets.find(req.header.req_id);
                  it != state->pending_sets.end()) {
@@ -804,7 +812,7 @@ sim::Task<> Server::serve_ucr_mget(Work& work, WorkerScratch& scratch) {
   // Parse: AM decode plus one scan of the packed key block.
   const sim::Time parse_start = sched_->now();
   co_await host_->cpu().consume(
-      charge(McCosts::ucr_request_ns, work.request.keys.size, McCosts::parse_ns_per_byte));
+      charge(McCosts::ucr_request_ns, work.request.bytes.size, McCosts::parse_ns_per_byte));
   stage_parse_->record(sched_->now() - parse_start);
 
   // Execute: ONE pass over the hashtable pinning every hit — the batch
@@ -814,7 +822,7 @@ sim::Task<> Server::serve_ucr_mget(Work& work, WorkerScratch& scratch) {
   advance_clock();
   {
     obs::ProfScope prof{kProfExecute};
-    pin_all(work.request.keys, scratch.items);
+    pin_all(work.request.bytes.keys(), scratch.items);
   }
   const auto n = static_cast<std::uint32_t>(scratch.items.size());
   mget_batch_->record(n);
@@ -982,7 +990,7 @@ sim::Task<> Server::serve_ucr(Work& work, WorkerScratch& scratch) {
     } else if (req.error == Errc::ok) {
       std::span<const std::byte> value{};
       if (req.prepared_item != nullptr) value = req.prepared_item->value();
-      out = execute(req.op, req.keys.first(), value);
+      out = execute(req.op, req.bytes.first(), value);
       if (req.prepared_item != nullptr) store_.abandon_item(req.prepared_item);
     }
   }

@@ -120,23 +120,26 @@ class Server {
 
   enum class Frontend : std::uint8_t { text, binary, ucr };
 
-  /// A request's keys, packed back to back as [u16 len][bytes] entries
-  /// (ucrp::pack_mget_key): inline up to kInline bytes, which holds one key
-  /// of any legal length, else in a block the server recycles (a UCR mget
-  /// key block, a long text multiget).
-  struct Keys {
+  /// What a request carries that its transport's buffer does not keep
+  /// until the worker runs: its keys, packed back to back as [u16 len]
+  /// [bytes] entries (pack_mget_key), then a text or binary store's value.
+  /// Inline up to kInline bytes, which holds one key of any legal length,
+  /// else in a block the server recycles (a UCR mget key block, a long
+  /// text multiget, a large value).
+  struct Bytes {
     static constexpr std::size_t kInline = sizeof(std::uint16_t) + proto::Request::kMaxKeyLen;
     std::array<std::byte, kInline> inline_bytes;  // left unset: only [0, size) is read
     std::unique_ptr<std::vector<std::byte>> block;
+    std::uint32_t key_bytes = 0;
     std::uint32_t size = 0;
 
-    std::span<const std::byte> bytes() const {
-      return {block ? block->data() : inline_bytes.data(), size};
-    }
+    const std::byte* data() const { return block ? block->data() : inline_bytes.data(); }
+    std::span<const std::byte> keys() const { return {data(), key_bytes}; }
+    std::span<const std::byte> value() const { return {data() + key_bytes, size - key_bytes}; }
     /// The first key (single-key requests carry exactly one).
     std::string_view first() const {
       std::string_view key;
-      ucrp::MgetKeyReader{bytes().data(), size}.next(key);
+      MgetKeyReader{data(), key_bytes}.next(key);
       return key;
     }
   };
@@ -152,8 +155,7 @@ class Server {
     Errc error = Errc::ok;
     std::uint64_t tag = 0;      ///< echoed in the reply: binary opaque, UCR req_id
     std::uint64_t initial = 0;  ///< binary incr/decr: the value a miss seeds
-    Keys keys;
-    std::vector<std::byte> value;         ///< text and binary storage value
+    Bytes bytes;
     ItemHeader* prepared_item = nullptr;  ///< UCR SET: the value already in its chunk
   };
 
@@ -194,16 +196,18 @@ class Server {
   sim::Task<> worker_loop(std::size_t index);
 
   sim::Task<> serve_text(Work& work, WorkerScratch& scratch);
-  sim::Task<> serve_binary(Work& work);
+  sim::Task<> serve_binary(Work& work, WorkerScratch& scratch);
   sim::Task<> serve_ucr(Work& work, WorkerScratch& scratch);
   /// True server-side multiget (Op::mget): one hashtable pass pinning
   /// every hit, then a chunked scatter-gather reply built in `scratch`.
   sim::Task<> serve_ucr_mget(Work& work, WorkerScratch& scratch);
 
-  /// Room for `bytes` of packed keys in `keys`: inline, or a recycled block.
-  std::byte* key_space(Keys& keys, std::size_t bytes);
-  /// The pinned multi-key GET pass: one item per key (nullptr = miss).
-  void pin_all(const Keys& keys, std::vector<ItemHeader*>& items);
+  /// Copy `value` into `request`'s bytes after room for `key_bytes` of
+  /// packed keys, inline or in a recycled block; returns that room.
+  std::byte* carry(Request& request, std::size_t key_bytes,
+                   std::span<const std::byte> value = {});
+  /// The pinned multi-key GET pass: one item per packed key (nullptr = miss).
+  void pin_all(std::span<const std::byte> keys, std::vector<ItemHeader*>& items);
   void register_new_slab_pages();
 
   /// Send a UCR response; pins `item` (may be null) until the value has
@@ -229,9 +233,9 @@ class Server {
   ucr::Runtime* ucr_runtime_ = nullptr;
   std::uint64_t ucr_down_handler_ = 0;  ///< on_endpoint_down registration
   std::vector<std::unique_ptr<UcrConnState>> ucr_conns_;
-  /// Key blocks of finished requests, handed to the next request whose
-  /// keys do not fit inline.
-  std::vector<std::unique_ptr<std::vector<std::byte>>> free_key_blocks_;
+  /// Blocks of finished requests, handed to the next request whose bytes
+  /// do not fit inline.
+  std::vector<std::unique_ptr<std::vector<std::byte>>> free_blocks_;
 
   /// Delayed-flush bookkeeping: the generation a pending timer belongs to
   /// (stale generations no-op, making repeated flushes last-write-wins)

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
 
@@ -68,6 +69,44 @@ struct StoreOp {
   std::uint32_t exptime = 0;
   std::uint64_t cas = 0;        ///< store in SetMode::cas
   std::uint64_t delta = 0;      ///< arith
+};
+
+/// A request's keys travel packed back to back as [u16 len][len key
+/// bytes] entries: a UCR mget key block, a parsed text request's key list
+/// and the server's copy of every request's keys share this form.
+
+/// Bytes pack_mget_key will write for `key`.
+inline constexpr std::size_t mget_entry_size(std::string_view key) {
+  return sizeof(std::uint16_t) + key.size();
+}
+
+/// Append one [u16 len][bytes] entry at `out`; returns bytes written.
+inline std::size_t pack_mget_key(std::byte* out, std::string_view key) {
+  const auto len = static_cast<std::uint16_t>(key.size());
+  std::memcpy(out, &len, sizeof(len));
+  std::memcpy(out + sizeof(len), key.data(), key.size());
+  return sizeof(len) + key.size();
+}
+
+/// Forward iterator over a packed key block (no allocation, no copies:
+/// the yielded views alias the block).
+struct MgetKeyReader {
+  const std::byte* cur = nullptr;
+  const std::byte* end = nullptr;
+
+  MgetKeyReader(const std::byte* block, std::size_t len)
+      : cur(block), end(block + len) {}
+
+  bool next(std::string_view& out) {
+    if (end - cur < static_cast<std::ptrdiff_t>(sizeof(std::uint16_t))) return false;
+    std::uint16_t len = 0;
+    std::memcpy(&len, cur, sizeof(len));
+    cur += sizeof(len);
+    if (end - cur < static_cast<std::ptrdiff_t>(len)) return false;
+    out = std::string_view{reinterpret_cast<const char*>(cur), len};
+    cur += len;
+    return true;
+  }
 };
 
 /// One row of a protocol's verb table: the wire command that names a

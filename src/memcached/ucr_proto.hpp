@@ -160,40 +160,6 @@ struct ResponseHeader {
 /// key carrier, so requests never allocate.
 inline constexpr std::size_t kMaxMgetKeyBlock = 8192 - 48 - RequestHeader::kSize;
 
-/// Bytes pack_mget_key will write for `key`.
-inline constexpr std::size_t mget_entry_size(std::string_view key) {
-  return sizeof(std::uint16_t) + key.size();
-}
-
-/// Append one [u16 len][bytes] entry at `out`; returns bytes written.
-inline std::size_t pack_mget_key(std::byte* out, std::string_view key) {
-  const auto len = static_cast<std::uint16_t>(key.size());
-  std::memcpy(out, &len, sizeof(len));
-  std::memcpy(out + sizeof(len), key.data(), key.size());
-  return sizeof(len) + key.size();
-}
-
-/// Forward iterator over a packed key block (no allocation, no copies:
-/// the yielded views alias the block).
-struct MgetKeyReader {
-  const std::byte* cur = nullptr;
-  const std::byte* end = nullptr;
-
-  MgetKeyReader(const std::byte* block, std::size_t len)
-      : cur(block), end(block + len) {}
-
-  bool next(std::string_view& out) {
-    if (end - cur < static_cast<std::ptrdiff_t>(sizeof(std::uint16_t))) return false;
-    std::uint16_t len = 0;
-    std::memcpy(&len, cur, sizeof(len));
-    cur += sizeof(len);
-    if (end - cur < static_cast<std::ptrdiff_t>(len)) return false;
-    out = std::string_view{reinterpret_cast<const char*>(cur), len};
-    cur += len;
-    return true;
-  }
-};
-
 /// Follows the ResponseHeader in each multiget response chunk.
 struct MgetChunkHeader {
   std::uint32_t start_index = 0;   ///< request-order index of the first record

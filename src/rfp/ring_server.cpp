@@ -283,7 +283,7 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   if (values_at > body.size()) return seal_response(ring, slot, failed, {});
 
   mc::ItemStore& store = server_->store();
-  ucrp::MgetKeyReader reader{key_block.data(), key_block.size()};
+  mc::MgetKeyReader reader{key_block.data(), key_block.size()};
   std::string_view key;
   std::uint32_t index = 0;
   std::size_t staged = 0;

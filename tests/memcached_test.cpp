@@ -660,12 +660,17 @@ TEST(Robustness, StreamClientReconnectsAfterServerClose) {
         constexpr std::uint16_t kPort = 11300;
         const std::string stored = "STORED\r\n";
         const std::string end = "END\r\n";
+        auto binary_reply = [](bproto::Opcode op) {
+          std::vector<std::byte> out;
+          bproto::encode_response({.opcode = op}, out);
+          return out;
+        };
         const std::vector<std::byte> reply =
-            binary ? bproto::encode_response({.opcode = bproto::Opcode::set})
+            binary ? binary_reply(bproto::Opcode::set)
                    : std::vector<std::byte>(val(stored).begin(), val(stored).end());
         // The whole answer to a one-key multiget that misses.
         const std::vector<std::byte> miss =
-            binary ? bproto::encode_response({.opcode = bproto::Opcode::noop})
+            binary ? binary_reply(bproto::Opcode::noop)
                    : std::vector<std::byte>(val(end).begin(), val(end).end());
         std::vector<std::byte> first = reply;
         if (cut) first.resize(reply.size() / 3);  // binary: cut before the body length
