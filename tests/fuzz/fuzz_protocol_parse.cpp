@@ -2,8 +2,10 @@
 // server feeds both parsers raw socket bytes, so arbitrary input must
 // never crash, loop, or read out of bounds. Beyond that, parsing must be
 // chunking-invariant: feeding the same bytes all at once or split into
-// two arbitrary chunks yields the same accept/reject sequence — the
-// incremental buffering the connection loops depend on.
+// two arbitrary chunks yields the same accept/reject sequence, with the
+// same request boundaries — the incremental buffering the connection
+// loops depend on. Each result is a view valid until the next feed(), so
+// it is read before the parser is fed again.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,17 +27,28 @@
 
 namespace {
 
-/// Parse everything buffered; returns (requests accepted, hit an error).
-template <typename Parser>
-std::pair<int, bool> drain(Parser& parser) {
+/// What a parser accepted: requests, a hash of their wire sizes in order,
+/// and whether it hit an error.
+struct Drained {
   int accepted = 0;
+  std::uint64_t boundaries = 0;
+  bool error = false;
+};
+
+/// Parse everything buffered into `d`.
+template <typename Parser>
+void drain(Parser& parser, Drained& d) {
   for (;;) {
     auto r = parser.next();
-    if (!r.ok()) return {accepted, true};
-    if (!r->has_value()) return {accepted, false};
-    ++accepted;
+    if (!r.ok()) {
+      d.error = true;
+      return;
+    }
+    if (!r->has_value()) return;
+    ++d.accepted;
+    d.boundaries = d.boundaries * 1000003 + (*r)->wire_bytes;
     // Termination: the parser may never accept more requests than bytes.
-    FUZZ_REQUIRE(accepted <= 1 << 20);
+    FUZZ_REQUIRE(d.accepted <= 1 << 20);
   }
 }
 
@@ -43,20 +56,23 @@ template <typename Parser>
 void check_chunking_invariance(std::span<const std::byte> bytes, std::size_t split) {
   Parser whole;
   whole.feed(bytes);
-  const auto one_shot = drain(whole);
+  Drained one_shot;
+  drain(whole, one_shot);
 
   Parser chunked;
   split = bytes.empty() ? 0 : split % (bytes.size() + 1);
   chunked.feed(bytes.first(split));
-  auto partial = drain(chunked);
-  if (!partial.second) {
+  Drained parts;
+  drain(chunked, parts);
+  if (!parts.error) {
     chunked.feed(bytes.subspan(split));
-    const auto rest = drain(chunked);
-    FUZZ_REQUIRE(partial.first + rest.first == one_shot.first);
-    FUZZ_REQUIRE(rest.second == one_shot.second);
+    drain(chunked, parts);
+    FUZZ_REQUIRE(parts.accepted == one_shot.accepted);
+    FUZZ_REQUIRE(parts.boundaries == one_shot.boundaries);
+    FUZZ_REQUIRE(parts.error == one_shot.error);
   } else {
     // An error surfaced from the prefix alone must also surface whole.
-    FUZZ_REQUIRE(one_shot.second);
+    FUZZ_REQUIRE(one_shot.error);
   }
 }
 
