@@ -9,6 +9,7 @@
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
+#include "common/page_buffer.hpp"
 #include "ucr/wire.hpp"
 #include "common/slotmap.hpp"
 #include "obs/metrics.hpp"
@@ -499,7 +500,7 @@ class UcrConn final : public ServerConn {
       : sched_(&sched), host_(&host), behavior_(behavior), runtime_(&runtime), addr_(addr),
         port_(port) {
     ensure_handler(runtime);
-    arena_.resize(std::max<std::size_t>(behavior.arena_bytes, 1024));
+    arena_ = PageBuffer(std::max<std::size_t>(behavior.arena_bytes, 1024));
     // Endpoint death must not leave in-flight operations to ride out their
     // timeouts: fail every pending request the moment the runtime reports
     // the endpoint down, so callers see Errc::disconnected immediately.
@@ -523,7 +524,7 @@ class UcrConn final : public ServerConn {
     if (!r.ok()) co_return r.error();
     ep_ = *r;
     ep_->set_user_data(this);
-    runtime_->register_region(arena_);
+    runtime_->register_region(arena_.span());
     const auto mode = behavior_.mode;
     if (mode == ClientBehavior::Mode::onesided_get && !behavior_.unreliable_ucr) {
       // Bootstrap the one-sided index descriptor (one RPC). Failure only
@@ -1031,7 +1032,9 @@ class UcrConn final : public ServerConn {
 
   SlotMap<Pending> pending_;
 
-  std::vector<std::byte> arena_;
+  // Page-backed: the bump allocator resets whenever no op is pending, so a
+  // closed-loop client only ever writes the first few KB of it.
+  PageBuffer arena_;
   std::size_t arena_offset_ = 0;
   std::vector<std::vector<std::byte>> overflow_;
   std::vector<std::byte> spill_;  ///< an RFP GET value that missed the caller's dest

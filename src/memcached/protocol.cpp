@@ -14,6 +14,13 @@ namespace {
 /// that a hostile line cannot make the tokenizer allocate.
 constexpr std::size_t kMaxTokens = 128;
 
+/// The longest request line, without its CRLF, that the parser accepts:
+/// kMaxTokens tokens of a key's maximum length, one space apart (no other
+/// token a request needs is longer). It bounds a line that has arrived
+/// whole and one still arriving alike, so a line that parses whole also
+/// parses when it arrives in pieces.
+constexpr std::size_t kMaxLine = kMaxTokens * (Request::kMaxKeyLen + 1);
+
 /// Split a protocol line into whitespace-separated tokens, writing into
 /// the caller's fixed-size array. Returns the token count, or
 /// kMaxTokens + 1 if the line has more tokens than fit (callers treat
@@ -188,9 +195,11 @@ Result<std::optional<Request>> RequestParser::next() {
   const auto line_end = find_crlf(window, scan_from_);
   if (!line_end) {
     scan_from_ = avail > 0 ? avail - 1 : 0;  // the tail byte may be a lone '\r'
-    if (avail > 8192) return Errc::protocol_error;  // unbounded line
+    // Too long even if that tail byte starts the CRLF.
+    if (avail > kMaxLine + 1) return Errc::protocol_error;
     return std::optional<Request>{};
   }
+  if (*line_end > kMaxLine) return Errc::protocol_error;
 
   const std::string_view line = window.substr(0, *line_end);
   const std::span<std::string_view> storage = line_tokens();

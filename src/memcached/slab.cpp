@@ -1,11 +1,11 @@
 #include "memcached/slab.hpp"
 
 #include <cassert>
-#include <memory>
 
 namespace rmc::mc {
 
-SlabAllocator::SlabAllocator(SlabConfig config) : config_(config) {
+SlabAllocator::SlabAllocator(SlabConfig config)
+    : config_(config), memory_(config.memory_limit) {
   // Build the class table: kChunkMin, then *= kGrowthFactor (rounded up
   // to 8-byte alignment), capped by kChunkMax — the memcached -f ladder.
   double size = static_cast<double>(kChunkMin);
@@ -35,8 +35,7 @@ Result<std::byte*> SlabAllocator::allocate(std::uint8_t cls) {
     // Grow the class by one page if the global budget allows.
     const std::size_t page = std::max(kPageSize, sc.chunk_size);
     if (memory_allocated_ + page > config_.memory_limit) return Errc::no_resources;
-    storage_.push_back(std::make_unique<std::byte[]>(page));
-    std::byte* base = storage_.back().get();
+    std::byte* base = memory_.data() + memory_allocated_;
     pages_.emplace_back(base, page);
     memory_allocated_ += page;
     const std::size_t chunks = page / sc.chunk_size;

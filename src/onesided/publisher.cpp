@@ -37,13 +37,13 @@ Publisher::Publisher(ucr::Runtime& runtime, sim::Host& host, mc::ItemStore& stor
 
   const std::size_t slot_count =
       static_cast<std::size_t>(config_.bucket_count) * config_.ways;
-  index_.assign(slot_count * sizeof(BucketEntry), std::byte{0});
-  arena_.assign(slot_count * config_.slot_size, std::byte{0});
+  index_ = PageBuffer(slot_count * sizeof(BucketEntry));
+  arena_ = PageBuffer(slot_count * config_.slot_size);
   slots_.resize(slot_count);
   victim_rr_.assign(config_.bucket_count, 0);
 
-  descriptor_.index = runtime_->expose_memory(index_);
-  descriptor_.arena = runtime_->expose_memory(arena_);
+  descriptor_.index = runtime_->expose_memory(index_.span());
+  descriptor_.arena = runtime_->expose_memory(arena_.span());
   descriptor_.bucket_count = config_.bucket_count;
   descriptor_.ways = config_.ways;
   descriptor_.slot_size = config_.slot_size;

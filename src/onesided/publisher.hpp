@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/page_buffer.hpp"
 #include "memcached/store.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/layout.hpp"
@@ -81,8 +82,10 @@ class Publisher final : public mc::StoreListener {
   mc::ItemStore* store_;
   PublisherConfig config_;
 
-  std::vector<std::byte> index_;  ///< the exposed bucket array
-  std::vector<std::byte> arena_;  ///< the exposed record arena
+  // Page-backed: both read as zero, and a record slot or index line holds
+  // memory only once something is published into it.
+  PageBuffer index_;  ///< the exposed bucket array
+  PageBuffer arena_;  ///< the exposed record arena
   std::vector<SlotState> slots_;
   std::vector<std::uint32_t> victim_rr_;  ///< per-bucket round-robin cursor
   IndexDescriptor descriptor_;

@@ -49,8 +49,8 @@ sim::Task<Status> RemoteGetter::bootstrap(ucr::Endpoint& ep, sim::Time timeout) 
   // steady-state GET path never registers memory.
   const std::size_t bucket_bytes =
       static_cast<std::size_t>(descriptor.ways) * sizeof(BucketEntry);
-  scratch_.assign(bucket_bytes + descriptor.slot_size, std::byte{0});
-  runtime_->register_region(scratch_);
+  scratch_.assign_zeroed(bucket_bytes + descriptor.slot_size);
+  runtime_->register_region(scratch_.span());
   descriptor_ = descriptor;
   co_return Status{};
 }
@@ -112,7 +112,7 @@ sim::Task<Result<OneSidedHit>> RemoteGetter::try_get(ucr::Endpoint& ep,
         hint.record_len >= record_size(key.size(), 0) &&
         static_cast<std::uint64_t>(hint.arena_offset) + hint.record_len <=
             descriptor_.arena.length) {
-      auto record = std::span<std::byte>(scratch_).subspan(bucket_bytes, hint.record_len);
+      auto record = scratch_.span().subspan(bucket_bytes, hint.record_len);
       if (!co_await read(ep, record, descriptor_.arena, hint.arena_offset)) {
         fallbacks_metric_->inc();
         co_return Errc::disconnected;
@@ -138,7 +138,7 @@ sim::Task<Result<OneSidedHit>> RemoteGetter::try_get(ucr::Endpoint& ep,
     if (attempt != 0) torn_metric_->inc();
 
     // Read 1: the bucket line.
-    auto line = std::span<std::byte>(scratch_).first(bucket_bytes);
+    auto line = scratch_.span().first(bucket_bytes);
     if (!co_await read(ep, line, descriptor_.index,
                        static_cast<std::uint32_t>(bucket * bucket_bytes))) {
       fallbacks_metric_->inc();
@@ -178,7 +178,7 @@ sim::Task<Result<OneSidedHit>> RemoteGetter::try_get(ucr::Endpoint& ep,
     }
 
     // Read 2: the record.
-    auto record = std::span<std::byte>(scratch_).subspan(bucket_bytes, entry.record_len);
+    auto record = scratch_.span().subspan(bucket_bytes, entry.record_len);
     if (!co_await read(ep, record, descriptor_.arena, entry.arena_offset)) {
       fallbacks_metric_->inc();
       co_return Errc::disconnected;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/page_buffer.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/layout.hpp"
 #include "simnet/event.hpp"
@@ -97,7 +98,7 @@ class RemoteGetter {
   ucr::BootstrapCall bootstrap_call_;
   IndexDescriptor descriptor_{};
 
-  std::vector<std::byte> scratch_;  ///< bucket line + record landing zone
+  PageBuffer scratch_;  ///< bucket line + record landing zone
   std::unique_ptr<sim::Counter> read_counter_;
   std::unordered_map<std::string, Hint> hints_;  ///< key -> last-verified slot
 

@@ -67,11 +67,14 @@ sim::Task<Status> Channel::bootstrap(ucr::Endpoint& ep, sim::Time timeout) {
   // down, in which case the tail of each arena simply goes unused.
   const std::size_t arena_bytes =
       static_cast<std::size_t>(config_.slot_count) * config_.slot_size;
-  response_arena_.assign(arena_bytes, std::byte{0});
-  request_staging_.assign(arena_bytes, std::byte{0});
-  runtime_->register_region(request_staging_);
+  // Both start zeroed, also on a re-bootstrap: a stale frame of the old
+  // epoch that carries a reused seq must not read as ready. The arenas
+  // keep their addresses, so their registrations still hold.
+  response_arena_.assign_zeroed(arena_bytes);
+  request_staging_.assign_zeroed(arena_bytes);
+  runtime_->register_region(request_staging_.span());
 
-  const RingProposal proposal{.response_ring = runtime_->expose_memory(response_arena_),
+  const RingProposal proposal{.response_ring = runtime_->expose_memory(response_arena_.span()),
                               .slot_count = config_.slot_count,
                               .slot_size = config_.slot_size};
   auto reply = co_await bootstrap_call_.call(ep, std::as_bytes(std::span(&proposal, 1)),

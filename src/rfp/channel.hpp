@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/page_buffer.hpp"
 #include "memcached/ucr_proto.hpp"
 #include "obs/metrics.hpp"
 #include "rfp/layout.hpp"
@@ -89,7 +90,7 @@ class Channel {
   std::uint32_t slots_in_flight() const { return busy_slots_; }
 
   /// Test hook: the raw response arena (tests forge torn frames in it).
-  std::span<std::byte> response_arena_for_test() { return response_arena_; }
+  std::span<std::byte> response_arena_for_test() { return response_arena_.span(); }
   std::uint32_t slot_seq_for_test(std::uint32_t slot) const { return slots_[slot].seq; }
 
  private:
@@ -119,8 +120,8 @@ class Channel {
   ucr::Endpoint* ep_ = nullptr;    ///< endpoint the rings are bound to
   RingDescriptor descriptor_{};    ///< server's reply (adopted geometry)
 
-  std::vector<std::byte> response_arena_;  ///< exposed; server writes here
-  std::vector<std::byte> request_staging_; ///< registered; frames built here
+  PageBuffer response_arena_;   ///< exposed; server writes here
+  PageBuffer request_staging_;  ///< registered; frames built here
   std::vector<Slot> slots_;
   /// Bumped each time slots_ is rebuilt (re-bootstrap). execute()
   /// snapshots it at claim time: after any suspension, a stale snapshot

@@ -35,7 +35,7 @@ constexpr sim::Time kPollMaxNs = 400;
 constexpr sim::Time kPollSweepNs = 80;
 constexpr sim::Time kRequestNs = 250;
 
-std::span<std::byte> slot_span(std::vector<std::byte>& buf, std::uint32_t slot,
+std::span<std::byte> slot_span(const PageBuffer& buf, std::uint32_t slot,
                                std::uint32_t slot_size) {
   return {buf.data() + static_cast<std::size_t>(slot) * slot_size, slot_size};
 }
@@ -105,13 +105,15 @@ RingDescriptor RingServer::on_bootstrap(ucr::Endpoint& ep, const RingProposal& r
     ring->ep = &ep;
     ring->slot_count = slot_count;
     ring->slot_size = slot_size;
-    ring->ring.assign(span_bytes, std::byte{0});
-    ring->staging.assign(span_bytes, std::byte{0});
+    // Fresh mappings: every slot of a new ring reads as zero, so no stale
+    // frame of an earlier ring for this endpoint can read as ready.
+    ring->ring = PageBuffer(span_bytes);
+    ring->staging = PageBuffer(span_bytes);
     // rmclint:allow(seqlock-discipline): fresh ring — no client holds its epochs yet,
     // so initializing every slot to epoch 1 cannot race a reader.
     ring->expected_seq.assign(slot_count, 1);
-    ring->request_window = runtime_->expose_memory(ring->ring);
-    runtime_->register_region(ring->staging);
+    ring->request_window = runtime_->expose_memory(ring->ring.span());
+    runtime_->register_region(ring->staging.span());
     ring->response_window = req.response_ring;
 
     resp.request_ring = ring->request_window;

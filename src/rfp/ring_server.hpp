@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "common/page_buffer.hpp"
 #include "memcached/server.hpp"
 #include "memcached/ucr_proto.hpp"
 #include "obs/metrics.hpp"
@@ -68,8 +69,8 @@ class RingServer {
   /// responses, so slot-indexed staging is single-writer by protocol).
   struct ClientRing {
     ucr::Endpoint* ep = nullptr;
-    std::vector<std::byte> ring;     ///< exposed request ring
-    std::vector<std::byte> staging;  ///< response frames, slot-indexed
+    PageBuffer ring;     ///< exposed request ring
+    PageBuffer staging;  ///< response frames, slot-indexed
     ucr::Runtime::RemoteMemory request_window;   ///< ring, as shipped
     ucr::Runtime::RemoteMemory response_window;  ///< client arena
     std::uint32_t slot_count = 0;

@@ -91,34 +91,88 @@ void Scheduler::arm_timeout(TimeoutNode& node, Time dt) {
     lanes_.back()->duration = dt;
   }
   TimeoutLane& lane = *lanes_[id];
-  if (lane.tail - lane.head == lane.ring.size()) grow_lane(lane);
+  if (lane.tail - lane.head == lane.ring.size()) make_room(lane);
   const Time deadline = now_ + dt;
+  latest_deadline_ = std::max(latest_deadline_, deadline);
   lane.at(lane.tail) = {deadline, seq, &node};
   node.lane = &lane;
   node.pos = lane.tail++;
-  // An empty lane had no heap entry; its new front gets one.
-  if (node.pos == lane.head) push_entry(deadline, seq, kLaneTag | id);
+  ++lane.armed;
+  // A lane without a heap entry was empty, so the node is its front. A
+  // lane whose entry is keyed on a cancelled front re-keys when it pops.
+  if (!lane.queued) queue_lane(lane, kLaneTag | id);
 }
 
-void Scheduler::grow_lane(TimeoutLane& lane) {
-  const std::size_t capacity = lane.ring.empty() ? kLaneInitialCapacity : lane.ring.size() * 2;
-  // Rings grow to their high-water size and are then reused.
-  std::vector<TimeoutLane::Armed> bigger(capacity);
-  for (std::uint64_t pos = lane.head; pos != lane.tail; ++pos) {
-    bigger[pos & (capacity - 1)] = lane.at(pos);
+void Scheduler::make_room(TimeoutLane& lane) {
+  const std::size_t capacity = lane.ring.size();
+  if (capacity != 0 && lane.armed * 2 <= capacity) {
+    // Mostly cancelled: slide the armed entries together, in order. The
+    // front keeps its position, so the lane's heap entry stays valid.
+    std::uint64_t to = lane.head;
+    for (std::uint64_t from = lane.head; from != lane.tail; ++from) {
+      const TimeoutLane::Armed armed = lane.at(from);
+      if (armed.node == nullptr) continue;
+      armed.node->pos = to;
+      lane.at(to++) = armed;
+    }
+    lane.tail = to;
+    return;
   }
-  lane.ring.swap(bigger);
+  // Rings grow to their high-water size and are then reused.
+  const std::size_t bigger = capacity == 0 ? kLaneInitialCapacity : capacity * 2;
+  std::vector<TimeoutLane::Armed> ring(bigger);
+  for (std::uint64_t pos = lane.head; pos != lane.tail; ++pos) {
+    ring[pos & (bigger - 1)] = lane.at(pos);
+  }
+  lane.ring.swap(ring);
 }
 
-Scheduler::TimeoutNode* Scheduler::advance_lane(std::uint32_t tag) {
+void Scheduler::queue_lane(TimeoutLane& lane, std::uint32_t tag) {
+  const TimeoutLane::Armed& front = lane.at(lane.head);
+  push_entry(front.deadline, front.seq, tag);
+  lane.queued = true;
+}
+
+bool Scheduler::keyed_on_front(const Entry& entry) {
+  TimeoutLane& lane = *lanes_[entry.slot & ~kLaneTag];
+  return lane.head != lane.tail && lane.at(lane.head).seq == entry.seq;
+}
+
+void Scheduler::rekey_lane(std::uint32_t tag) {
+  TimeoutLane& lane = *lanes_[tag & ~kLaneTag];
+  lane.queued = false;
+  if (lane.head != lane.tail) queue_lane(lane, tag);
+}
+
+Scheduler::TimeoutNode* Scheduler::pop_lane_front(std::uint32_t tag) {
   TimeoutLane& lane = *lanes_[tag & ~kLaneTag];
   TimeoutNode* node = lane.at(lane.head++).node;
-  if (node != nullptr) node->lane = nullptr;
-  if (lane.head != lane.tail) {
-    const TimeoutLane::Armed& next = lane.at(lane.head);
-    push_entry(next.deadline, next.seq, tag);
-  }
+  --lane.armed;
+  lane.skip_cancelled();
+  rekey_lane(tag);
+  node->lane = nullptr;
   return node;
+}
+
+void Scheduler::rekey_cancelled_fronts() {
+  std::size_t i = 0;
+  while (i < heap_.size()) {
+    const Entry entry = heap_[i];
+    if (entry.t != heap_[0].t || (entry.slot & kLaneTag) == 0 || keyed_on_front(entry)) {
+      ++i;
+      continue;
+    }
+    erase_at(i);
+    rekey_lane(entry.slot);
+    i = 0;  // erasing reorders the heap: rescan (exploration runs small models)
+  }
+}
+
+std::size_t Scheduler::timeout_lane_capacity(Time duration) const {
+  for (const auto& lane : lanes_) {
+    if (lane->duration == duration) return lane->ring.size();
+  }
+  return 0;
 }
 
 void Scheduler::pop_top_into(Entry& out) {
@@ -215,19 +269,26 @@ Time Scheduler::run() { return run_until(kNoTimeout); }
 
 Time Scheduler::run_until(Time deadline) {
   Entry entry;
-  while (!heap_.empty() && heap_[0].t <= deadline) {
+  for (;;) {
+    if (tie_breaker_ != nullptr) rekey_cancelled_fronts();
+    if (heap_.empty() || heap_[0].t > deadline) break;
     if (tie_breaker_ == nullptr) {
       pop_top_into(entry);
     } else {
       pop_choice_into(entry);
     }
+    const bool lane = (entry.slot & kLaneTag) != 0;
+    if (lane && !keyed_on_front(entry)) {
+      rekey_lane(entry.slot);  // its front was cancelled: no event
+      continue;
+    }
     queue_depth_metric_->set(static_cast<std::int64_t>(heap_.size()));
     now_ = entry.t;
     ++events_processed_;
     events_metric_->inc();
-    if ((entry.slot & kLaneTag) != 0) {
-      // A timeout lane's front: expire it unless it was cancelled.
-      if (TimeoutNode* node = advance_lane(entry.slot)) {
+    if (lane) {
+      TimeoutNode* node = pop_lane_front(entry.slot);
+      {
         obs::ProfScope prof{kProfDispatch};
         node->expire(*this, *node);
       }
@@ -246,6 +307,8 @@ Time Scheduler::run_until(Time deadline) {
     }
     if (tie_breaker_ != nullptr) tie_breaker_->after_dispatch(now_);
   }
+  // Where a schedule that dispatched every cancelled timeout would stand.
+  if (latest_deadline_ <= deadline) now_ = std::max(now_, latest_deadline_);
   return now_;
 }
 

@@ -31,15 +31,31 @@
 // Timeout lanes: arm_timeout() registers a cancellable timeout whose node
 // lives in its owner (Counter's timed waits). Timeouts of one duration
 // expire in the order they were armed, so each distinct duration gets one
-// FIFO ring of (deadline, seq, node), and each non-empty ring holds exactly
-// one heap entry, keyed by its front's (deadline, seq). Popping that entry
-// dispatches the front — expiring it if still armed, doing nothing if
-// cancelled — and pushes the next front. Every armed timeout therefore
-// dispatches once, at the (t, seq) a call_in() timer armed at the same
-// point would have, while the heap holds one entry per duration instead of
-// one per pending timeout. Cancelling is O(1): it clears the ring slot.
-// Under a tie-breaker only a lane's front is a candidate, so two timeouts
-// of one duration that expire at the same instant fire in arm order.
+// FIFO ring of (deadline, seq, node) whose front is always armed, and each
+// non-empty ring holds one heap entry, keyed by its front's (deadline,
+// seq). Popping that entry expires the front and keys the lane on the
+// next armed entry. An expiry therefore dispatches at the (t, seq) a
+// call_in() timer armed at the same point would have, while the heap holds
+// one entry per duration instead of one per pending timeout.
+//
+// A cancelled timeout is forgotten: it costs no event and never moves the
+// clock. Cancelling the front moves the ring's head past every cancelled
+// entry; a lane's heap entry keyed on a front since cancelled re-keys on
+// the new front when it pops, without counting an event, touching the
+// clock or being offered to a tie-breaker; and a full ring that is mostly
+// cancelled compacts in place instead of doubling. A ring's size thus
+// follows the number of armed timeouts, not the op rate times the
+// timeout. Under a tie-breaker only a lane's front is a candidate, so two
+// timeouts of one duration that expire at the same instant fire in arm
+// order.
+//
+// The clock after a run is still that of a schedule in which every
+// cancelled timeout dispatched as a no-op at its deadline: run() ends at
+// the latest deadline of any timeout ever armed, if no event came later,
+// and so does run_until(d) when that deadline is not after d. When it is
+// after d, run_until(d) leaves the clock at the last event it dispatched,
+// which may be earlier than the deadline of a timeout cancelled in
+// between.
 //
 // Lifetime: root tasks handed to spawn() are owned by the scheduler. A root
 // that finishes frees its own frame (and unregisters); roots still blocked
@@ -125,12 +141,14 @@ class Scheduler {
   /// the same (t, seq) point a timer closure would have.
   void arm_timeout(TimeoutNode& node, Time dt);
 
-  /// Disarm an armed node in O(1). Its ring slot still dispatches once, as
-  /// a no-op, at its deadline, so event counts and the clock after
-  /// run_until() are those of a timer that was never cancelled.
+  /// Disarm an armed node, in amortized O(1). The timeout is forgotten:
+  /// it dispatches nothing (see "Timeout lanes" above for the clock).
   static void cancel_timeout(TimeoutNode& node) {
-    node.lane->at(node.pos).node = nullptr;
+    TimeoutLane& lane = *node.lane;
+    lane.at(node.pos).node = nullptr;
     node.lane = nullptr;
+    --lane.armed;
+    if (node.pos == lane.head) lane.skip_cancelled();
   }
 
   /// Start a detached root task at the current time.
@@ -152,15 +170,21 @@ class Scheduler {
   /// same-time events (a cooperative yield).
   auto yield() { return delay(0); }
 
-  /// Run until the event queue is empty. Returns the final virtual time.
+  /// Run until the event queue is empty. Returns the final virtual time:
+  /// the last event's, or the latest deadline of any timeout ever armed.
   Time run();
 
   /// Run until the queue is empty or virtual time would exceed `deadline`;
-  /// events after the deadline stay queued. Returns the current time.
+  /// events after the deadline stay queued. Returns the current time (see
+  /// "Timeout lanes" above for where a cancelled timeout leaves it).
   Time run_until(Time deadline);
 
   /// Number of events processed so far (for micro-benchmarks and tests).
   std::uint64_t events_processed() const { return events_processed_; }
+
+  /// Ring capacity, in entries, of the timeout lane for `duration`; 0 if
+  /// no timeout of that duration was ever armed.
+  std::size_t timeout_lane_capacity(Time duration) const;
 
   /// Install (or clear, with nullptr) a same-timestamp dispatch policy.
   /// The breaker must outlive its installation. With none installed the
@@ -182,9 +206,9 @@ class Scheduler {
   /// Entry::slot bit marking a timeout lane's heap entry.
   static constexpr std::uint32_t kLaneTag = std::uint32_t{1} << 31;
 
-  /// One FIFO of armed timeouts sharing a duration. Positions are absolute
-  /// and index the ring modulo its power-of-two capacity, so growing the
-  /// ring never moves a node's position.
+  /// One FIFO of timeouts sharing a duration. Positions are absolute and
+  /// index the ring modulo its power-of-two capacity, so growing the ring
+  /// never moves a node's position; compacting it renumbers the nodes.
   struct TimeoutLane {
     struct Armed {
       Time deadline;
@@ -193,9 +217,14 @@ class Scheduler {
     };
     Time duration = 0;
     std::vector<Armed> ring;  ///< grows to the high-water size, then reused
-    std::uint64_t head = 0;   ///< position of the front
+    std::uint64_t head = 0;   ///< position of the front, which is armed; tail if none is
     std::uint64_t tail = 0;   ///< one past the back
+    std::uint64_t armed = 0;  ///< armed entries in [head, tail)
+    bool queued = false;      ///< the lane has its heap entry
     Armed& at(std::uint64_t pos) { return ring[pos & (ring.size() - 1)]; }
+    void skip_cancelled() {
+      while (head != tail && at(head).node == nullptr) ++head;
+    }
   };
 
   struct RootRecord {
@@ -223,13 +252,28 @@ class Scheduler {
   /// Insert the key (t, seq, slot) by hole-based sift-up.
   void push_entry(Time t, std::uint64_t seq, std::uint32_t slot);
 
-  /// Pop the front of the lane whose heap entry just fired, re-key the lane
-  /// on its next front, and return the popped node disarmed (null if it was
-  /// cancelled).
-  TimeoutNode* advance_lane(std::uint32_t tag);
+  /// Whether a lane's heap entry is keyed on the lane's current front, or
+  /// on a front that was cancelled since.
+  bool keyed_on_front(const Entry& entry);
 
-  /// Double a full lane ring, keeping every entry at its position.
-  static void grow_lane(TimeoutLane& lane);
+  /// Push the lane's heap entry, keyed on its (armed) front.
+  void queue_lane(TimeoutLane& lane, std::uint32_t tag);
+
+  /// The lane's heap entry has left the heap: key a new one on its front,
+  /// if it has one.
+  void rekey_lane(std::uint32_t tag);
+
+  /// Pop the front of the lane whose heap entry (keyed on that front) just
+  /// left the heap, re-key the lane, and return the node, disarmed.
+  TimeoutNode* pop_lane_front(std::uint32_t tag);
+
+  /// Under a tie-breaker: re-key every lane entry at the minimum timestamp
+  /// whose front was cancelled, so that every candidate dispatches.
+  void rekey_cancelled_fronts();
+
+  /// Make room in a full lane ring: compact it in place if at most half of
+  /// its entries are armed, else double it keeping every position.
+  static void make_room(TimeoutLane& lane);
 
   std::vector<Entry> heap_;
   std::vector<UniqueFunction> slots_;     ///< closures, indexed by Entry::slot
@@ -240,6 +284,7 @@ class Scheduler {
       tie_scratch_;  ///< (seq, heap index) candidates for pop_choice_into
   TieBreaker* tie_breaker_ = nullptr;
   Time now_ = 0;
+  Time latest_deadline_ = 0;  ///< of every timeout ever armed, cancelled or not
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
   obs::Counter* events_metric_;     ///< sim.sched.events

@@ -53,19 +53,17 @@ Runtime::Runtime(verbs::Hca& hca, UcrConfig config) : hca_(&hca), config_(config
   send_cq_ = hca.create_cq(cq_mode);
   recv_cq_ = hca.create_cq(cq_mode);
 
-  const std::size_t recv_bytes = static_cast<std::size_t>(config_.recv_buffers) * config_.eager_limit;
-  recv_arena_ = std::make_unique_for_overwrite<std::byte[]>(recv_bytes);
-  recv_mr_ = &hca.reg_mr({recv_arena_.get(), recv_bytes});
-  for (std::uint32_t slot = 0; slot < config_.recv_buffers; ++slot) {
-    repost_recv_slot(slot);
-  }
+  recv_arena_ = PageBuffer(static_cast<std::size_t>(config_.recv_buffers) * config_.eager_limit);
+  recv_mr_ = &hca.reg_mr(recv_arena_.span());
+  // The SRQ hands out the buffer posted last: post in reverse, so the
+  // first receive lands in slot 0, as the first send stages in slot 0.
+  for (std::uint32_t slot = config_.recv_buffers; slot-- > 0;) repost_recv_slot(slot);
 
   // Staging arena sized to the credit window times a generous endpoint
   // count; grows never — exhaustion backpressures through acquire_slot.
   const std::uint32_t slots = config_.recv_buffers;
-  const std::size_t send_bytes = static_cast<std::size_t>(slots) * config_.eager_limit;
-  send_arena_ = std::make_unique_for_overwrite<std::byte[]>(send_bytes);
-  send_mr_ = &hca.reg_mr({send_arena_.get(), send_bytes});
+  send_arena_ = PageBuffer(static_cast<std::size_t>(slots) * config_.eager_limit);
+  send_mr_ = &hca.reg_mr(send_arena_.span());
   // rmclint:allow(zeroalloc): constructor-time freelist reservation
   free_slots_.reserve(slots);
   // rmclint:allow(zeroalloc): constructor-time freelist fill within the reservation above
@@ -130,7 +128,7 @@ std::uint32_t Runtime::acquire_slot() {
 void Runtime::release_slot(std::uint32_t slot) { free_slots_.push_back(slot); }
 
 std::span<std::byte> Runtime::slot_span(std::uint32_t slot) {
-  return {send_arena_.get() + static_cast<std::size_t>(slot) * config_.eager_limit,
+  return {send_arena_.data() + static_cast<std::size_t>(slot) * config_.eager_limit,
           config_.eager_limit};
 }
 
@@ -143,7 +141,7 @@ std::vector<std::byte>& Runtime::header_block(std::uint64_t token) {
 
 void Runtime::repost_recv_slot(std::uint32_t slot) {
   std::span<std::byte> buf{
-      recv_arena_.get() + static_cast<std::size_t>(slot) * config_.eager_limit,
+      recv_arena_.data() + static_cast<std::size_t>(slot) * config_.eager_limit,
       config_.eager_limit};
   srq_.post({.wr_id = slot, .buffer = buf, .lkey = recv_mr_->lkey()});
 }
@@ -697,7 +695,7 @@ sim::Task<> Runtime::recv_progress() {
         ++messages_received_;
         obs::registry().counter("ucr.msgs.received").inc();
         std::span<std::byte> buf{
-            recv_arena_.get() + static_cast<std::size_t>(slot) * config_.eager_limit,
+            recv_arena_.data() + static_cast<std::size_t>(slot) * config_.eager_limit,
             config_.eager_limit};
         Endpoint* ep = nullptr;
         {

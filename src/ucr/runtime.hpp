@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/page_buffer.hpp"
 #include "common/slotmap.hpp"
 #include "simnet/event.hpp"
 #include "simnet/task.hpp"
@@ -295,15 +296,14 @@ class Runtime {
   verbs::SharedReceiveQueue srq_;
 
   // Receive arena: recv_buffers slots of eager_limit bytes, registered.
-  // Allocated uninitialized (make_unique_for_overwrite): slots are written
-  // by arriving data before any read, and skipping the multi-MB zeroing
-  // keeps testbed construction off the benchmark's critical path.
-  std::unique_ptr<std::byte[]> recv_arena_;
+  // Page-backed: a slot holds memory only once a message has landed in it,
+  // and the LIFO SRQ keeps reusing the few slots a runtime needs at once.
+  PageBuffer recv_arena_;
   verbs::MemoryRegion* recv_mr_ = nullptr;
 
-  // Send-staging arena with a freelist of slots; same uninitialized
-  // allocation — a slot is memcpy'd full before the wire reads it.
-  std::unique_ptr<std::byte[]> send_arena_;
+  // Send-staging arena with a LIFO freelist of slots; page-backed the same
+  // way, since a slot is memcpy'd full before the wire reads it.
+  PageBuffer send_arena_;
   verbs::MemoryRegion* send_mr_ = nullptr;
   std::vector<std::uint32_t> free_slots_;
 

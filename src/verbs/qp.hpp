@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/ring_deque.hpp"
@@ -20,21 +21,25 @@ namespace rmc::verbs {
 
 class Hca;
 
-/// Receive-buffer pool shared across QPs (ibv_srq).
+/// Receive-buffer pool shared across QPs (ibv_srq). LIFO: a message lands
+/// in the buffer posted most recently, so a runtime that reposts each
+/// buffer as soon as it is done keeps landing in the same few warm buffers
+/// instead of cycling through the whole pool. Which buffer a message lands
+/// in is not part of the model; no cost reads it.
 class SharedReceiveQueue {
  public:
-  void post(const RecvWr& wr) { queue_.push_back(wr); }
-  bool empty() const { return queue_.empty(); }
-  std::size_t depth() const { return queue_.size(); }
+  void post(const RecvWr& wr) { stack_.push_back(wr); }
+  bool empty() const { return stack_.empty(); }
+  std::size_t depth() const { return stack_.size(); }
 
   RecvWr take() {
-    RecvWr wr = queue_.front();
-    queue_.pop_front();
+    const RecvWr wr = stack_.back();
+    stack_.pop_back();
     return wr;
   }
 
  private:
-  RingDeque<RecvWr> queue_;  // breathes in place; no chunk churn per recv
+  std::vector<RecvWr> stack_;
 };
 
 enum class QpState : std::uint8_t { reset, ready, error };

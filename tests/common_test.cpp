@@ -1,16 +1,24 @@
 // Unit tests for src/common: hashing (with RFC vectors), histograms, RNG
-// determinism, tables, units.
+// determinism, tables, units, page-backed buffers.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/histogram.hpp"
 #include "common/md5.hpp"
+#include "common/page_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -340,6 +348,88 @@ TEST(Table, ShortRowsArePadded) {
   t.add_row({"1"});
   EXPECT_NO_THROW(t.to_string());
 }
+
+// --------------------------------------------------------- PageBuffer ----
+
+std::size_t page_bytes() { return static_cast<std::size_t>(sysconf(_SC_PAGESIZE)); }
+
+/// Which pages of `buf` are resident, by mincore.
+std::vector<bool> resident_pages(const PageBuffer& buf) {
+  const std::size_t pages = (buf.size() + page_bytes() - 1) / page_bytes();
+  std::vector<unsigned char> vec(pages);
+  EXPECT_EQ(mincore(buf.data(), buf.size(), vec.data()), 0);
+  std::vector<bool> out;
+  for (const unsigned char v : vec) out.push_back((v & 1) != 0);
+  return out;
+}
+
+TEST(PageBuffer, ReadsAsZeroAndTouchesNoPageUntilWritten) {
+  const std::size_t page = page_bytes();
+  PageBuffer buf(8 * page + 100);
+  ASSERT_EQ(buf.size(), 8 * page + 100);
+  EXPECT_EQ(resident_pages(buf), std::vector<bool>(9, false));
+
+  buf.data()[3 * page + 5] = std::byte{0x5a};
+  std::vector<bool> expect(9, false);
+  expect[3] = true;
+  EXPECT_EQ(resident_pages(buf), expect) << "one write made other pages resident";
+
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    if (i == 3 * page + 5) continue;
+    ASSERT_EQ(buf.data()[i], std::byte{0}) << "byte " << i;
+  }
+}
+
+TEST(PageBuffer, AssignZeroedKeepsTheMappingAndDropsItsPages) {
+  const std::size_t page = page_bytes();
+  PageBuffer buf(4 * page);
+  std::byte* const base = buf.data();
+  for (std::size_t i = 0; i < buf.size(); ++i) buf.data()[i] = std::byte{0xff};
+
+  // Same size: same address (so registrations stay valid), zero again.
+  buf.assign_zeroed(4 * page);
+  EXPECT_EQ(buf.data(), base);
+  EXPECT_EQ(resident_pages(buf), std::vector<bool>(4, false));
+  for (std::size_t i = 0; i < buf.size(); ++i) ASSERT_EQ(buf.data()[i], std::byte{0});
+
+  // Smaller fits the mapping too; larger maps afresh. Both read as zero.
+  buf.data()[0] = std::byte{1};
+  buf.assign_zeroed(page);
+  EXPECT_EQ(buf.data(), base);
+  EXPECT_EQ(buf.size(), page);
+  EXPECT_EQ(buf.data()[0], std::byte{0});
+  buf.assign_zeroed(16 * page);
+  EXPECT_EQ(buf.size(), 16 * page);
+  for (std::size_t i = 0; i < buf.size(); ++i) ASSERT_EQ(buf.data()[i], std::byte{0});
+}
+
+TEST(PageBuffer, MovesOwnershipOfTheMapping) {
+  PageBuffer a(100);
+  a.data()[7] = std::byte{7};
+  std::byte* const base = a.data();
+  PageBuffer b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b.data(), base);
+  EXPECT_EQ(b.data()[7], std::byte{7});
+  PageBuffer c;
+  c = std::move(b);
+  EXPECT_EQ(c.span().data(), base);
+  EXPECT_EQ(c.span().size(), 100u);
+  EXPECT_TRUE(PageBuffer(0).empty());
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PageBuffer, BytesPastTheEndArePoisoned) {
+  // Page-exact and ragged sizes: the first byte past the buffer, up to and
+  // including a guard page, is poisoned; the last byte of the buffer is not.
+  for (const std::size_t size : {page_bytes(), 3 * page_bytes(), std::size_t{1000}}) {
+    PageBuffer buf(size);
+    EXPECT_FALSE(__asan_address_is_poisoned(buf.data() + size - 1)) << size;
+    EXPECT_TRUE(__asan_address_is_poisoned(buf.data() + size)) << size;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace rmc

@@ -149,6 +149,41 @@ TEST(RequestParse, FragmentedStreamReassembles) {
   }
 }
 
+TEST(RequestParse, LineLimitIsTheSameWholeOrSplit) {
+  // A 100-key get of 9,295 bytes: it parses fed whole, and also when its
+  // first 8,500 bytes arrive alone.
+  std::string wire = "get";
+  std::vector<std::string> expect;
+  for (int i = 0; i < 100; ++i) {
+    // 90 keys of 92 bytes and 10 of 91.
+    expect.push_back("key-" + std::to_string(1000 + i) + "-" + std::string(i < 90 ? 83 : 82, 'k'));
+    wire += " " + expect.back();
+  }
+  wire += "\r\n";
+  ASSERT_EQ(wire.size(), 9295u);
+  EXPECT_EQ(keys_of(parse_one(wire)), expect);
+
+  RequestParser parser;
+  parser.feed(bytes(wire.substr(0, 8500)));
+  auto first = parser.next();
+  ASSERT_TRUE(first.ok()) << "the line's first 8,500 bytes alone were refused";
+  EXPECT_FALSE(first->has_value());
+  parser.feed(bytes(wire.substr(8500)));
+  auto whole = parser.next();
+  ASSERT_TRUE(whole.ok() && whole->has_value());
+  EXPECT_EQ(keys_of(**whole), expect);
+
+  // A line past the limit fails both ways: padded with spaces, it has few
+  // tokens, but no line that long ever parses.
+  const std::string padded = "get k" + std::string(40000, ' ') + "\r\n";
+  RequestParser whole_parser;
+  whole_parser.feed(bytes(padded));
+  EXPECT_FALSE(whole_parser.next().ok());
+  RequestParser split_parser;
+  split_parser.feed(bytes(padded.substr(0, 35000)));
+  EXPECT_FALSE(split_parser.next().ok());
+}
+
 TEST(RequestParse, PipelinedRequests) {
   RequestParser parser;
   parser.feed(bytes("get a\r\nset b 0 0 1\r\nx\r\nget c\r\n"));

@@ -10,6 +10,7 @@
 // surfaces a torn value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <memory>
@@ -328,6 +329,37 @@ TEST(Rfp, SlotEpochsAdvanceAcrossWrapAroundWithoutClearing) {
     // set (epoch 1) + 10 gets: slot 0 sits at epoch 12 for the next op.
     EXPECT_EQ(wk.channel->slot_seq_for_test(0), 12u);
     EXPECT_EQ(wk.channel->slots_in_flight(), 0u);
+  }(w));
+}
+
+TEST(Rfp, ReBootstrapStartsFromZeroedRings) {
+  // A channel that re-bootstraps (here onto a second endpoint) keeps its
+  // arenas' addresses, so their registrations hold, but must start from
+  // zeroed slots: a stale response frame of the old epoch whose seq the
+  // new ring reuses would otherwise read as ready.
+  ChannelWorld w;
+  w.drive([](ChannelWorld& wk) -> Task<> {
+    EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+    auto stored = co_await wk.raw_set("again", std::string(48, 'a'));
+    EXPECT_TRUE(stored.ok());
+    if (!stored.ok()) co_return;
+    wk.channel->release(stored->slot);
+    const std::span<std::byte> arena = wk.channel->response_arena_for_test();
+    EXPECT_NE(std::count(arena.begin(), arena.end(), std::byte{0}),
+              static_cast<std::ptrdiff_t>(arena.size()));
+
+    EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+    const std::span<std::byte> fresh = wk.channel->response_arena_for_test();
+    EXPECT_EQ(fresh.data(), arena.data());
+    EXPECT_EQ(std::count(fresh.begin(), fresh.end(), std::byte{0}),
+              static_cast<std::ptrdiff_t>(fresh.size()));
+
+    auto r = co_await wk.raw_get("again");
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return;
+    EXPECT_EQ(r->header.status, ucrp::RStatus::value);
+    EXPECT_EQ(r->body.size(), 48u);
+    wk.channel->release(r->slot);
   }(w));
 }
 

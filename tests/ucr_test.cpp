@@ -577,6 +577,35 @@ TEST(Rendezvous, HeaderOutlivesItsReusedReceiveBuffer) {
             static_cast<std::ptrdiff_t>(dest.size()));
 }
 
+TEST(Rendezvous, ASpanIntoARepostedReceiveBufferShowsTheNextMessage) {
+  // The flip side of the test above. A receive buffer is reposted as soon
+  // as its message is delivered, and the SRQ hands out the buffer posted
+  // most recently, so the next message lands in the same buffer. A header
+  // span kept past its handler shows that next message: a handler must
+  // copy what it keeps.
+  World w;
+  std::span<const std::byte> kept;
+  std::vector<std::string> seen;
+  w.server.register_handler(
+      kMsgData, {.on_complete = [&](Endpoint&, std::span<const std::byte> header,
+                                    std::span<std::byte>) {
+        seen.emplace_back(reinterpret_cast<const char*>(header.data()), header.size());
+        if (kept.empty()) kept = header;
+      }});
+  w.establish();
+  for (const char fill : {'1', '2'}) {
+    const std::string header(64, fill);
+    ASSERT_TRUE(w.client
+                    .send_message(*w.client_ep, kMsgData, bytes_view(header), {}, nullptr, {},
+                                  nullptr)
+                    .ok());
+    w.sched.run();
+  }
+  ASSERT_EQ(seen, (std::vector<std::string>{std::string(64, '1'), std::string(64, '2')}));
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(kept.data()), kept.size()),
+            std::string(64, '2'));
+}
+
 TEST(Rendezvous, OversizedHeaderRejected) {
   World w;
   w.establish();

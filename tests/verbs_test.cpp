@@ -584,6 +584,27 @@ TEST(Srq, SharedAcrossQps) {
   EXPECT_TRUE(srq.empty());
 }
 
+TEST(Srq, HandsOutTheBufferPostedMostRecently) {
+  // LIFO: a buffer reposted after use is the next one handed out, so a
+  // runtime keeps landing in the same few warm buffers.
+  SharedReceiveQueue srq;
+  std::vector<std::byte> pool(4 * 64);
+  auto wr = [&](std::uint64_t id) {
+    return RecvWr{.wr_id = id, .buffer = std::span(pool).subspan(id * 64, 64), .lkey = 1};
+  };
+  for (std::uint64_t id = 0; id < 4; ++id) srq.post(wr(id));
+  EXPECT_EQ(srq.take().wr_id, 3u);
+  srq.post(wr(3));
+  EXPECT_EQ(srq.take().wr_id, 3u);
+  EXPECT_EQ(srq.take().wr_id, 2u);
+  srq.post(wr(3));
+  EXPECT_EQ(srq.take().wr_id, 3u);
+  EXPECT_EQ(srq.depth(), 2u);
+  EXPECT_EQ(srq.take().wr_id, 1u);
+  EXPECT_EQ(srq.take().wr_id, 0u);
+  EXPECT_TRUE(srq.empty());
+}
+
 TEST(Srq, QpWithSrqRejectsDirectPostRecv) {
   Pair p;
   SharedReceiveQueue srq;

@@ -6,11 +6,11 @@
 // on the stack.
 //
 // This TU replaces the global operator new/delete with counting wrappers;
-// the steady-state loop asserts the counter does not move. Each warm-up
-// ends by idling one op_timeout of sim time, so every timeout armed so far
-// has expired and the scheduler's timeout lane rings sit empty at their
-// high-water size; the warm-up arms at least as many timeouts as the
-// counted loop, so the counted loop never grows a ring.
+// the steady-state loop asserts the counter does not move. A completed
+// wait forgets its timeout, so a timeout lane's ring holds only the
+// timeouts still armed and reaches its high-water size in the first few
+// ops. Each warm-up still ends by idling one op_timeout of sim time, so
+// the counted loop starts from a quiet scheduler.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -132,6 +132,55 @@ TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
   EXPECT_TRUE(done);
   EXPECT_EQ(failures, 0);
   EXPECT_EQ(delta, 0) << "heap allocations on the steady-state GET path";
+}
+
+// A small UCR SET over RPC: the server's header handler allocates the item
+// and notes it until the eager value lands in its slab chunk, in a
+// per-connection vector that keeps its capacity. Once warm, a SET
+// allocates nothing at either end.
+TEST(ZeroAlloc, SteadyStateUcrSetAllocatesNothing) {
+  Scheduler sched;
+  sim::Fabric ib{sched, sim::ib_qdr_link()};
+  sim::Host server_host{sched, 0, "server", 8};
+  sim::Host client_host{sched, 1, "client", 8};
+  verbs::Hca server_hca{sched, ib, server_host};
+  verbs::Hca client_hca{sched, ib, client_host};
+  ucr::Runtime server_ucr{server_hca};
+  ucr::Runtime client_ucr{client_hca};
+  Server server{sched, server_host, {}};
+  server.attach_ucr_frontend(server_ucr);
+
+  Client client{sched, client_host, {}};
+  client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
+
+  bool done = false;
+  long long delta = -1;
+  long long failures = 0;
+
+  sched.spawn([](Scheduler& s, Client& cli, bool& fin, long long& delta2,
+                 long long& failures2) -> Task<> {
+    if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
+    const std::string value(64, 'v');
+    for (int i = 0; i < 12000; ++i) {
+      if (!(co_await cli.set("hot-key", val(value), 7)).ok()) {
+        ADD_FAILURE() << "warm-up set";
+        co_return;
+      }
+    }
+    co_await s.delay(kDrainTimeouts);
+
+    const long long before = g_news;
+    for (int i = 0; i < 10000; ++i) {
+      if (!(co_await cli.set("hot-key", val(value), 7)).ok()) ++failures2;
+    }
+    delta2 = g_news - before;
+    fin = true;
+  }(sched, client, done, delta, failures));
+  sched.run();
+
+  EXPECT_TRUE(done);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(delta, 0) << "heap allocations on the steady-state SET path";
 }
 
 // The batched multiget inherits the property: one mget_into round — key

@@ -35,6 +35,7 @@ if __package__ in (None, ""):
         check_dead_knobs,
         check_determinism,
         check_io_hygiene,
+        check_zero_fill,
         check_zeroalloc,
     )
 else:
@@ -47,6 +48,7 @@ else:
         check_dead_knobs,
         check_determinism,
         check_io_hygiene,
+        check_zero_fill,
         check_zeroalloc,
     )
 
@@ -150,6 +152,7 @@ def main(argv: list[str]) -> int:
     findings: list[Finding] = []
     findings += check_determinism(project)
     findings += check_zeroalloc(project)
+    findings += check_zero_fill(project)
     findings += check_io_hygiene(project)
     findings += check_coro_lifetime(project)
     findings += check_seqlock_discipline(project)

@@ -6,10 +6,11 @@ invariants this reproduction's results rest on:
 
   determinism-*   the simulator must be bit-identical across runs
   zeroalloc       the request hot path must not allocate (PR 2 budget)
+  zero-fill       run-time-sized byte buffers are page-backed, not CPU-filled
   io-hygiene      library code logs through common/log.hpp, never stdout
   dead-knob       every configuration field is set by someone
 
-Scopes: determinism + io-hygiene apply to src/ (library code);
+Scopes: determinism, zero-fill and io-hygiene apply to src/ (library code);
 zeroalloc applies to hot-path-tagged files (src/simnet/, src/ucr/ by
 directory, plus any file carrying a `// rmclint:hotpath` tag).
 """
@@ -195,6 +196,39 @@ def check_zeroalloc(project: Project) -> list[Finding]:
     return findings
 
 
+# ----------------------------------------------------------------- zero-fill
+
+# Byte buffers the CPU fills (or takes from the heap) at a size chosen at
+# run time. Such buffers are arenas, rings and pages sized for the worst
+# case; the program writes a small part of them.
+ZERO_FILL_RE = re.compile(
+    r"\.\s*assign\s*\([^;]*,\s*(?:std::)?byte\s*[{(]\s*0?\s*[})]\s*\)"
+    r"|\bmake_unique(?:_for_overwrite)?\s*<\s*(?:std::)?byte\s*\[\s*\]\s*>"
+)
+
+
+def check_zero_fill(project: Project) -> list[Finding]:
+    findings: list[Finding] = []
+    for sf in project.files:
+        if not _in_src(sf) or not sf.rel.endswith(CXX_SUFFIXES):
+            continue
+        for idx, line in enumerate(sf.code_lines, start=1):
+            if ZERO_FILL_RE.search(line):
+                findings.append(
+                    Finding(
+                        "zero-fill",
+                        sf.rel,
+                        idx,
+                        "byte buffer filled by the CPU at a run-time size — zeroing "
+                        "touches every page, and heap memory may sit on pages an "
+                        "earlier testbed touched; use rmc::PageBuffer "
+                        "(common/page_buffer.hpp), whose pages read as zero and "
+                        "cost nothing until written",
+                    )
+                )
+    return findings
+
+
 # ---------------------------------------------------------------- io-hygiene
 
 IO_RE = re.compile(
@@ -329,6 +363,7 @@ ALL_RULES = {
     "seqlock-discipline": "ban writes to seqlock-guarded fields outside the "
     "blessed protocol helpers",
     "zeroalloc": "ban allocation in hot-path-tagged files",
+    "zero-fill": "ban CPU-filled run-time-sized byte buffers in src/ (use PageBuffer)",
     "io-hygiene": "ban direct stdout/stderr I/O in src/",
     "dead-knob": "every field of a *Config, *Behavior or *Costs struct in src/ is assigned "
     "somewhere",
