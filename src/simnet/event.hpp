@@ -61,9 +61,9 @@ class Event {
 /// stable). A timed wait also arms the Waiter's Scheduler::TimeoutNode in
 /// the scheduler's lane for its duration. Whichever wakes the waiter first
 /// — the threshold, fail_waiters(), or the frame's destruction — cancels
-/// the timeout in O(1), and an expiring timeout unlinks the waiter from
-/// the counter. Once the waiter list and the lane ring have reached their
-/// high-water sizes, no wait allocates.
+/// the timeout in amortized O(1), which costs no event, and an expiring
+/// timeout unlinks the waiter from the counter. Once the waiter list and
+/// the lane ring have reached their high-water sizes, no wait allocates.
 ///
 /// Lifetimes: a Counter destroyed with waiters parked unlinks them; a timed
 /// waiter still resumes with false when its timeout expires. A frame
