@@ -785,23 +785,35 @@ void Server::ucr_reply(ucr::Endpoint& ep, const ucrp::ResponseHeader& header,
 
 Status Server::send_pinned(ucr::Endpoint& ep, std::span<const std::byte> header,
                            ItemHeader* item, std::uint64_t reply_counter) {
-  // The origin counter fires once the client's RDMA Read has the value.
-  // rmclint:allow(zeroalloc): rendezvous response path (value > eager frame); the eager budgets never reach here
-  auto counter = std::make_unique<sim::Counter>(*sched_);
+  // The origin counter fires once the client's RDMA Read has the value. A
+  // counter only grows, so a recycled one is awaited one past its value.
+  if (spare_counters_.empty()) {
+    // rmclint:allow(zeroalloc): one counter per rendezvous reply in flight, made once; finished replies hand theirs back
+    spare_counters_.push_back(std::make_unique<sim::Counter>(*sched_));
+  }
+  sim::Counter& counter = *spare_counters_.back();
+  const std::uint64_t target = counter.value() + 1;
   const Status sent = ucr_runtime_->send_message(ep, ucrp::kMsgResponse, header, item->value(),
-                                                 counter.get(), ucr::CounterRef{reply_counter},
+                                                 &counter, ucr::CounterRef{reply_counter},
                                                  nullptr);
   if (!sent.ok()) {
     store_.release(item);
-    return sent;
+    return sent;  // the counter stays on the free list
   }
-  sched_->spawn([](ItemStore& store, ItemHeader* pinned,
-                   std::unique_ptr<sim::Counter> done) -> sim::Task<> {
-    co_await done->wait_geq(1);
-    // rmclint:allow(coro-lifetime): store_ is a Server member and `pinned` is
-    // refcount-pinned until this release; both outlive the send completion.
-    store.release(pinned);
-  }(store_, item, std::move(counter)));
+  std::unique_ptr<sim::Counter> taken = std::move(spare_counters_.back());
+  spare_counters_.pop_back();
+  sched_->spawn([](Server& server, ItemHeader* pinned, std::unique_ptr<sim::Counter> done,
+                   std::uint64_t read_at) -> sim::Task<> {
+    // The Read's ack wakes this wait, or the endpoint's failure does after
+    // erasing the send's record: either way no later add can follow.
+    co_await done->wait_geq(read_at);
+    // rmclint:allow(coro-lifetime): the Server owns store_ and the free list
+    // and outlives every send it made; `pinned` is refcount-pinned until
+    // this release.
+    server.store_.release(pinned);
+    // rmclint:allow(zeroalloc): the free list grows to the rendezvous replies in flight once
+    server.spare_counters_.push_back(std::move(done));
+  }(*this, item, std::move(taken), target));
   return sent;
 }
 

@@ -216,7 +216,8 @@ class Server {
                  ItemHeader* pinned_item, std::uint64_t reply_counter);
   /// Send a response whose value is pinned `item`'s by rendezvous: the
   /// client RDMA-reads it out of the slab, and the pin drops when the
-  /// origin counter fires (at once, if the send fails).
+  /// origin counter fires or fails (at once, if the send fails). The
+  /// counter then goes back to spare_counters_.
   Status send_pinned(ucr::Endpoint& ep, std::span<const std::byte> header, ItemHeader* item,
                      std::uint64_t reply_counter);
   /// Answer `header`'s request with a bare server_error header.
@@ -236,6 +237,9 @@ class Server {
   /// Blocks of finished requests, handed to the next request whose bytes
   /// do not fit inline.
   std::vector<std::unique_ptr<std::vector<std::byte>>> free_blocks_;
+  /// Origin counters of finished rendezvous replies, handed to the next
+  /// send_pinned.
+  std::vector<std::unique_ptr<sim::Counter>> spare_counters_;
 
   /// Delayed-flush bookkeeping: the generation a pending timer belongs to
   /// (stale generations no-op, making repeated flushes last-write-wins)

@@ -23,8 +23,6 @@ class Event {
  public:
   explicit Event(Scheduler& sched) : sched_(&sched) {}
 
-  bool is_set() const { return set_; }
-
   void set() {
     if (set_) return;
     set_ = true;

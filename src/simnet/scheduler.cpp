@@ -32,11 +32,15 @@ Scheduler::Scheduler()
 
 Scheduler::~Scheduler() {
   if (obs::profiler().sim_clock_ctx() == this) obs::profiler().set_sim_clock(nullptr, nullptr);
-  // Destroy roots that never finished (blocked servers, dispatch loops).
-  // The queue may still reference frames being destroyed here; it is
-  // dropped without resuming anything, so no stale handle is ever resumed.
-  for (auto& root : roots_) {
-    if (root->alive && root->handle) root->handle.destroy();
+  // Destroy roots that never finished (blocked servers, dispatch loops),
+  // in spawn order. The queue may still reference frames being destroyed
+  // here; it is dropped without resuming anything, so no stale handle is
+  // ever resumed.
+  using Promise = Task<>::promise_type;
+  while (roots_.next != &roots_) {
+    auto& root = static_cast<Promise&>(*roots_.next);
+    root.unlink();
+    std::coroutine_handle<Promise>::from_promise(root).destroy();
   }
   // A node still armed belongs to a frame that outlives this scheduler;
   // disarm it so its owner never cancels into a freed lane.
@@ -255,13 +259,7 @@ void Scheduler::pop_choice_into(Entry& out) {
 
 void Scheduler::spawn(Task<> task) {
   auto handle = task.detach();
-  // rmclint:allow(zeroalloc): spawn() is a setup-time operation; steady state resumes existing frames
-  auto record = std::make_unique<RootRecord>();
-  record->handle = handle;
-  handle.promise().on_detached_done = &RootRecordAccess::mark_dead;
-  handle.promise().on_detached_done_arg = record.get();
-  // rmclint:allow(zeroalloc): root bookkeeping, one entry per spawned task at setup
-  roots_.push_back(std::move(record));
+  handle.promise().link_before(roots_);  // at the tail
   resume_at(now_, handle);
 }
 

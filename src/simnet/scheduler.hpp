@@ -57,10 +57,12 @@
 // which may be earlier than the deadline of a timeout cancelled in
 // between.
 //
-// Lifetime: root tasks handed to spawn() are owned by the scheduler. A root
-// that finishes frees its own frame (and unregisters); roots still blocked
-// when the Scheduler is destroyed are destroyed then. Never resume a
-// scheduler's handles after it is destroyed.
+// Lifetime: root tasks handed to spawn() are owned by the scheduler, which
+// threads them through their promises into one intrusive list of live
+// roots, in spawn order; spawning allocates nothing. A root that finishes
+// unlinks itself and frees its frame; roots still blocked when the
+// Scheduler is destroyed are destroyed then, in spawn order, each once.
+// Never resume a scheduler's handles after it is destroyed.
 #pragma once
 
 #include <coroutine>
@@ -166,10 +168,6 @@ class Scheduler {
     return Awaiter{*this, dt};
   }
 
-  /// Awaitable: reschedule at the current instant, behind already-queued
-  /// same-time events (a cooperative yield).
-  auto yield() { return delay(0); }
-
   /// Run until the event queue is empty. Returns the final virtual time:
   /// the last event's, or the latest deadline of any timeout ever armed.
   Time run();
@@ -194,8 +192,6 @@ class Scheduler {
   TieBreaker* tie_breaker() const { return tie_breaker_; }
 
  private:
-  friend struct RootRecordAccess;
-
   struct Entry {
     Time t;
     std::uint64_t seq;
@@ -225,11 +221,6 @@ class Scheduler {
     void skip_cancelled() {
       while (head != tail && at(head).node == nullptr) ++head;
     }
-  };
-
-  struct RootRecord {
-    std::coroutine_handle<> handle;
-    bool alive = true;
   };
 
   static constexpr std::size_t kArity = 4;
@@ -279,7 +270,7 @@ class Scheduler {
   std::vector<UniqueFunction> slots_;     ///< closures, indexed by Entry::slot
   std::vector<std::uint32_t> free_slots_;  ///< recycled slots_ indices
   std::vector<std::unique_ptr<TimeoutLane>> lanes_;  ///< indexed by lane id; never shrinks
-  std::vector<std::unique_ptr<RootRecord>> roots_;
+  detail::RootLink roots_{&roots_, &roots_};  ///< sentinel of the live roots' list
   std::vector<std::pair<std::uint64_t, std::uint32_t>>
       tie_scratch_;  ///< (seq, heap index) candidates for pop_choice_into
   TieBreaker* tie_breaker_ = nullptr;
@@ -295,13 +286,5 @@ class Scheduler {
 /// (`[t=<ns>ns]`). Pass nullptr to restore the plain format. The scheduler
 /// must outlive the attachment.
 void attach_log_clock(Scheduler* sched);
-
-/// Hook used by Task promises to unregister a finished root. Kept out of
-/// Task<> so the coroutine types stay scheduler-agnostic.
-struct RootRecordAccess {
-  static void mark_dead(void* record) {
-    static_cast<Scheduler::RootRecord*>(record)->alive = false;
-  }
-};
 
 }  // namespace rmc::sim

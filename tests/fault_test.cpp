@@ -601,5 +601,56 @@ TEST(McRecovery, PartitionHealsAndClientReconnects) {
   EXPECT_GT(metric("mc.client.reconnects"), reconnects_before);
 }
 
+// A rendezvous GET reply keeps its item pinned until the origin counter
+// reports the client's RDMA Read. When the client is cut off before the
+// reply reaches it, the server's endpoint failure wakes that wait: the pin
+// drops, and the counter goes back to the server's free list, from which
+// the replies after the client reconnects take it.
+TEST(McRecovery, RendezvousReplyUnpinsWhenItsReadNeverComes) {
+  mc::ClientBehavior behavior = recovery_behavior();
+  behavior.max_retries = 1;
+  McPool pool(1, behavior);
+  const std::uint64_t failures_before = metric("ucr.ep.failures");
+
+  pool.drive([](McPool& pool2) -> Task<> {
+    mc::Client& client = *pool2.client;
+    const std::string value(32 * 1024, 'v');
+    EXPECT_TRUE((co_await client.connect_all()).ok());
+    EXPECT_TRUE((co_await client.set("big", bytes_view(value))).ok());
+    const mc::ItemHeader* item = pool2.servers[0]->store().get("big");
+    if (item == nullptr) {
+      ADD_FAILURE() << "set did not store";
+      co_return;
+    }
+
+    // Cut the client off the moment the server pins the item for its
+    // reply, before the reply's header can reach the client.
+    pool2.sched.spawn([](McPool& p, const mc::ItemHeader* it) -> Task<> {
+      while (it->refcount == 0) co_await p.sched.delay(1);
+      p.fabric.faults().partition({p.client_ucr->addr()});
+    }(pool2, item));
+    auto lost = co_await client.get("big");
+    EXPECT_FALSE(lost.ok());
+    EXPECT_EQ(item->refcount, 1) << "the reply still awaits its Read";
+
+    // The server's retransmits of the reply back off and run out after
+    // about 2 s, which fails its endpoint.
+    co_await pool2.sched.delay(3_s);
+    EXPECT_EQ(item->refcount, 0) << "the pin outlived the dead endpoint";
+
+    // Each later reply holds its pin until its Read's ack is back at the
+    // server, on a counter recycled after a failure and after a Read.
+    pool2.fabric.faults().heal();
+    for (int i = 0; i < 2; ++i) {
+      auto back = co_await client.get("big");
+      EXPECT_TRUE(back.ok() && back->data.size() == value.size());
+      EXPECT_EQ(item->refcount, 1) << "unpinned before the Read's ack";
+      co_await pool2.sched.delay(100_us);
+      EXPECT_EQ(item->refcount, 0);
+    }
+  }(pool), 5_s);
+  EXPECT_GT(metric("ucr.ep.failures"), failures_before);
+}
+
 }  // namespace
 }  // namespace rmc

@@ -123,15 +123,36 @@ TEST(Task, ExceptionsPropagateAcrossCoAwait) {
 }
 
 TEST(Task, BlockedRootIsReclaimedAtTeardown) {
-  // A root blocked forever must not leak (ASAN would flag it).
+  // Roots blocked forever must not leak (ASAN would flag it), and a root
+  // that finished has freed itself already: teardown destroys exactly the
+  // still-blocked frames, in spawn order, each once. Every frame logs its
+  // id when it is destroyed.
+  struct Guard {
+    std::vector<int>* log;
+    int id;
+    ~Guard() { log->push_back(id); }
+  };
+  std::vector<int> destroyed;
   auto sched = std::make_unique<Scheduler>();
   auto ch = std::make_unique<Channel<int>>(*sched);
-  sched->spawn([](Channel<int>& c) -> Task<> {
-    (void)co_await c.recv();  // never satisfied
-  }(*ch));
+  struct Root {
+    static Task<> run(Scheduler& s, Channel<int>& c, std::vector<int>& log, int id) {
+      Guard guard{&log, id};
+      if (id % 3 == 1) {
+        co_await s.delay(static_cast<Time>(10 * id));
+        // Spawned while older roots are blocked and others have finished.
+        if (id == 4) s.spawn(run(s, c, log, 6));
+        co_return;
+      }
+      (void)co_await c.recv();  // never satisfied
+    }
+  };
+  for (int id = 0; id < 6; ++id) sched->spawn(Root::run(*sched, *ch, destroyed, id));
   sched->run();
-  sched.reset();  // must destroy the suspended frame
-  SUCCEED();
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 4}));
+  destroyed.clear();
+  sched.reset();  // must destroy the suspended frames
+  EXPECT_EQ(destroyed, (std::vector<int>{0, 2, 3, 5, 6}));
 }
 
 TEST(Task, SpawnManyRootsAllRun) {

@@ -78,6 +78,31 @@ std::span<const std::byte> val(const std::string& s) {
 /// timeout the warm-up armed has expired.
 const sim::Time kDrainTimeouts = ClientBehavior{}.op_timeout + 1;
 
+// Spawning a root allocates nothing beyond its pooled frame: the
+// scheduler threads its live roots through their promises, and a root
+// that finishes unlinks itself and leaves nothing behind.
+TEST(ZeroAlloc, SpawnedRootsAllocateNothing) {
+  Scheduler sched;
+  int finished = 0;
+  auto round = [&] {
+    for (int i = 0; i < 1000; ++i) {
+      sched.spawn([](Scheduler& s, int& n) -> Task<> {
+        co_await s.delay(1);
+        ++n;
+      }(sched, finished));
+    }
+    sched.run();
+  };
+  round();  // warm: frame pool, event heap and closure slots
+
+  const long long before = g_news;
+  for (int r = 0; r < 10; ++r) round();
+  const long long delta = g_news - before;
+
+  EXPECT_EQ(finished, 11000);
+  EXPECT_EQ(delta, 0) << "heap allocations per spawned root";
+}
+
 TEST(ZeroAlloc, SteadyStateUcrGetAllocatesNothing) {
   Scheduler sched;
   sim::Fabric ib{sched, sim::ib_qdr_link()};
@@ -310,6 +335,130 @@ TEST(ZeroAlloc, SteadyStateOneSidedGetAllocatesNothing) {
   EXPECT_EQ(failures, 0);
   EXPECT_GE(reads, 10000u) << "the GETs did not ride RDMA Reads";
   EXPECT_EQ(delta, 0) << "heap allocations on the steady-state one-sided GET path";
+}
+
+// One-sided GETs with a SET every tenth op: each SET republishes the key
+// in the index and charges the publish work through the publisher's
+// charge loop, which is spawned again whenever it has drained. Once warm,
+// neither the republish nor the re-spawned loop allocates.
+TEST(ZeroAlloc, SteadyStateOneSidedGetWithSetsAllocatesNothing) {
+  Scheduler sched;
+  sim::Fabric ib{sched, sim::ib_qdr_link()};
+  sim::Host server_host{sched, 0, "server", 8};
+  sim::Host client_host{sched, 1, "client", 8};
+  verbs::Hca server_hca{sched, ib, server_host};
+  verbs::Hca client_hca{sched, ib, client_host};
+  ucr::Runtime server_ucr{server_hca};
+  ucr::Runtime client_ucr{client_hca};
+  Server server{sched, server_host, {}};
+  server.attach_ucr_frontend(server_ucr);
+  onesided::Publisher publisher{server_ucr, server_host, server.store()};
+
+  ClientBehavior behavior;
+  behavior.mode = ClientBehavior::Mode::onesided_get;
+  Client client{sched, client_host, behavior};
+  client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
+
+  bool done = false;
+  long long delta = -1;
+  long long failures = 0;
+  std::uint64_t publishes = 0;
+
+  sched.spawn([](Scheduler& s, Client& cli, bool& fin, long long& delta2,
+                 long long& failures2, std::uint64_t& publishes2) -> Task<> {
+    if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
+    const std::string value(64, 'v');
+    std::array<std::byte, 256> dest;
+    auto op = [&](int i) -> Task<bool> {
+      if (i % 10 == 9) co_return (co_await cli.set("hot-key", val(value), 7)).ok();
+      auto r = co_await cli.get_into("hot-key", dest);
+      co_return r.ok() && r->value_len == 64 && r->flags == 7;
+    };
+    if (!(co_await cli.set("hot-key", val(value), 7)).ok()) {
+      ADD_FAILURE() << "set";
+      co_return;
+    }
+    for (int i = 0; i < 12000; ++i) {
+      if (!co_await op(i)) { ADD_FAILURE() << "warm-up op"; co_return; }
+    }
+    co_await s.delay(kDrainTimeouts);
+
+    obs::Counter& publish_metric = obs::registry().counter("mc.oneside.publishes");
+    const std::uint64_t publishes_before = publish_metric.value();
+    const long long before = g_news;
+    for (int i = 0; i < 10000; ++i) {
+      if (!co_await op(i)) ++failures2;
+    }
+    delta2 = g_news - before;
+    publishes2 = publish_metric.value() - publishes_before;
+    fin = true;
+  }(sched, client, done, delta, failures, publishes));
+  sched.run();
+
+  EXPECT_TRUE(done);
+  EXPECT_EQ(failures, 0);
+  EXPECT_GE(publishes, 1000u) << "the SETs did not republish the key";
+  EXPECT_EQ(delta, 0) << "heap allocations on one-sided GETs with SETs running";
+}
+
+// A GET whose value exceeds the eager limit, through the server: the reply
+// is a rendezvous straight out of the slab, and the item stays pinned
+// until the origin counter reports the client's RDMA Read. The server
+// recycles the counters of finished replies, so once warm a 32 KiB GET
+// allocates nothing at either end.
+TEST(ZeroAlloc, SteadyStateRendezvousGetAllocatesNothing) {
+  Scheduler sched;
+  sim::Fabric ib{sched, sim::ib_qdr_link()};
+  sim::Host server_host{sched, 0, "server", 8};
+  sim::Host client_host{sched, 1, "client", 8};
+  verbs::Hca server_hca{sched, ib, server_host};
+  verbs::Hca client_hca{sched, ib, client_host};
+  ucr::Runtime server_ucr{server_hca};
+  ucr::Runtime client_ucr{client_hca};
+  Server server{sched, server_host, {}};
+  server.attach_ucr_frontend(server_ucr);
+
+  Client client{sched, client_host, {}};
+  client.add_server_ucr(client_ucr, server_ucr.addr(), server.config().port);
+
+  constexpr std::size_t kValue = 32 * 1024;
+  std::vector<std::byte> dest(kValue);
+  bool done = false;
+  long long delta = -1;
+  long long failures = 0;
+  std::uint64_t rendezvous = 0;
+
+  sched.spawn([](Scheduler& s, Client& cli, std::vector<std::byte>& out, bool& fin,
+                 long long& delta2, long long& failures2, std::uint64_t& rendezvous2) -> Task<> {
+    if (!(co_await cli.connect_all()).ok()) { ADD_FAILURE() << "connect"; co_return; }
+    const std::string value(kValue, 'v');
+    if (!(co_await cli.set("big-key", val(value), 7)).ok()) {
+      ADD_FAILURE() << "set";
+      co_return;
+    }
+    for (int i = 0; i < 3000; ++i) {
+      auto r = co_await cli.get_into("big-key", out);
+      if (!r.ok() || r->value_len != kValue) { ADD_FAILURE() << "warm-up get"; co_return; }
+    }
+    co_await s.delay(kDrainTimeouts);
+
+    obs::Counter& rendezvous_metric = obs::registry().counter("ucr.rendezvous.sends");
+    const std::uint64_t rendezvous_before = rendezvous_metric.value();
+    const long long before = g_news;
+    for (int i = 0; i < 3000; ++i) {
+      auto r = co_await cli.get_into("big-key", out);
+      if (!r.ok() || r->value_len != kValue || r->flags != 7) ++failures2;
+    }
+    delta2 = g_news - before;
+    rendezvous2 = rendezvous_metric.value() - rendezvous_before;
+    fin = true;
+  }(sched, client, dest, done, delta, failures, rendezvous));
+  sched.run();
+
+  EXPECT_TRUE(done);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(rendezvous, 3000u) << "the replies did not ride the rendezvous path";
+  EXPECT_EQ(delta, 0) << "heap allocations on the steady-state rendezvous GET path";
 }
 
 // A rendezvous active message with origin and completion counters: the
