@@ -108,6 +108,7 @@ Status status_from(ucrp::RStatus status) {
     case ucrp::RStatus::client_error: return Errc::invalid_argument;
     case ucrp::RStatus::server_error: return Errc::no_resources;
     case ucrp::RStatus::too_large: return Errc::too_large;
+    case ucrp::RStatus::rerun: break;  // a ring reply's, never an answer
   }
   return Errc::protocol_error;
 }
@@ -642,7 +643,7 @@ class UcrConn final : public ServerConn {
       // Single-frame RFP attempt: the whole key block in one ring slot,
       // the whole chunked reply in the matching response slot. Anything
       // that does not fit — oversized block, reply overflow (the server
-      // answers server_error), malformed chunk — falls through to the
+      // asks for a re-run), malformed chunk — falls through to the
       // chunked RPC waves below.
       std::size_t block = 0;
       bool fits = true;

@@ -115,6 +115,7 @@ enum class RStatus : std::uint8_t {
   client_error,
   server_error,  ///< the store could not allocate, or the reply could not be sent
   too_large,     ///< the value exceeds the largest slab class
+  rerun,         ///< RFP ring reply only: the answer did not fit, re-run the op over RPC
 };
 
 struct ResponseHeader {

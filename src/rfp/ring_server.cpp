@@ -254,7 +254,7 @@ std::size_t RingServer::seal_response(ClientRing& ring, std::uint32_t slot,
   if (ucrp::ResponseHeader::kSize + value.size() > capacity) {
     // Reply cannot be framed in one slot: tell the client to re-run the
     // op over classic RPC (the fallback matrix in DESIGN.md §16).
-    out.status = ucrp::RStatus::server_error;
+    out.status = ucrp::RStatus::rerun;
     value = {};
   }
   const std::span<std::byte> body = ucr::frame_body(staging);
@@ -275,14 +275,13 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   const std::span<std::byte> staging = slot_span(ring.staging, slot, ring.slot_size);
   const std::span<std::byte> body = ucr::frame_body(staging);
   const auto key_count = static_cast<std::uint32_t>(req.delta);
-  const ucrp::ResponseHeader failed{.status = ucrp::RStatus::server_error,
-                                    .req_id = req.req_id};
+  const ucrp::ResponseHeader rerun{.status = ucrp::RStatus::rerun, .req_id = req.req_id};
 
   // Single-chunk layout: ResponseHeader | MgetChunkHeader | records | values.
   const std::size_t records_at =
       ucrp::ResponseHeader::kSize + ucrp::MgetChunkHeader::kSize;
   std::size_t values_at = records_at + key_count * ucrp::MgetRecord::kSize;
-  if (values_at > body.size()) return seal_response(ring, slot, failed, {});
+  if (values_at > body.size()) return seal_response(ring, slot, rerun, {});
 
   mc::ItemStore& store = server_->store();
   mc::MgetKeyReader reader{key_block.data(), key_block.size()};
@@ -314,7 +313,7 @@ std::size_t RingServer::execute_mget(ClientRing& ring, std::uint32_t slot,
   if (overflow || index != key_count) {
     // Reply overflows the slot (or the block was malformed): hand the
     // whole multiget back to the RPC path, which chunks freely.
-    return seal_response(ring, slot, failed, {});
+    return seal_response(ring, slot, rerun, {});
   }
 
   ucrp::MgetChunkHeader chunk;
