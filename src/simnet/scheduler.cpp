@@ -172,6 +172,57 @@ void Scheduler::rekey_cancelled_fronts() {
   }
 }
 
+void Scheduler::arm_poll(PollNode& node, Time period) {
+  assert(node.idle != nullptr);
+  std::size_t id = 0;
+  while (id < poll_lanes_.size() && poll_lanes_[id].period != period) ++id;
+  if (id == poll_lanes_.size()) {
+    // rmclint:allow(zeroalloc): one lane per distinct poll period, made on first use
+    poll_lanes_.emplace_back().period = period;
+  }
+  append_tick(poll_lanes_[id], node);
+}
+
+void Scheduler::append_tick(PollLane& lane, PollNode& node) {
+  // rmclint:allow(zeroalloc): a lane's ring grows to its high-water size, then is reused
+  lane.ticks.push_back({now_ + lane.period, seq_++, &node});
+  ++polls_armed_;
+}
+
+Scheduler::PollLane* Scheduler::due_poll_lane(Time deadline) {
+  PollLane* first = nullptr;
+  for (PollLane& lane : poll_lanes_) {
+    if (lane.ticks.empty()) continue;
+    const PollLane::Tick& front = lane.ticks.front();
+    if (first == nullptr ||
+        before(front.t, front.seq, first->ticks.front().t, first->ticks.front().seq)) {
+      first = &lane;
+    }
+  }
+  const PollLane::Tick& tick = first->ticks.front();
+  if (tick.t > deadline || (!heap_.empty() && !before(tick.t, tick.seq, heap_[0]))) {
+    return nullptr;
+  }
+  return first;
+}
+
+void Scheduler::dispatch_tick(PollLane& lane) {
+  const PollLane::Tick tick = lane.ticks.front();
+  lane.ticks.pop_front();
+  --polls_armed_;
+  queue_depth_metric_->set(static_cast<std::int64_t>(heap_.size() + polls_armed_));
+  now_ = tick.t;
+  PollNode& node = *tick.node;
+  if (node.idle(*this, node)) {
+    append_tick(lane, node);  // where the waiter's own delay() would have re-armed it
+    return;
+  }
+  ++events_processed_;
+  events_metric_->inc();
+  obs::ProfScope prof{kProfDispatch};
+  node.waiter.resume();
+}
+
 std::size_t Scheduler::timeout_lane_capacity(Time duration) const {
   for (const auto& lane : lanes_) {
     if (lane->duration == duration) return lane->ring.size();
@@ -269,6 +320,12 @@ Time Scheduler::run_until(Time deadline) {
   Entry entry;
   for (;;) {
     if (tie_breaker_ != nullptr) rekey_cancelled_fronts();
+    if (polls_armed_ != 0) {
+      if (PollLane* lane = due_poll_lane(deadline)) {
+        dispatch_tick(*lane);
+        continue;
+      }
+    }
     if (heap_.empty() || heap_[0].t > deadline) break;
     if (tie_breaker_ == nullptr) {
       pop_top_into(entry);
@@ -280,7 +337,7 @@ Time Scheduler::run_until(Time deadline) {
       rekey_lane(entry.slot);  // its front was cancelled: no event
       continue;
     }
-    queue_depth_metric_->set(static_cast<std::int64_t>(heap_.size()));
+    queue_depth_metric_->set(static_cast<std::int64_t>(heap_.size() + polls_armed_));
     now_ = entry.t;
     ++events_processed_;
     events_metric_->inc();

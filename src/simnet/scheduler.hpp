@@ -10,7 +10,7 @@
 // and for the exact per-op counts of the rmcbench ledger): with no
 // tie-breaker installed, the dispatch order of same-timestamp events IS
 // their insertion order, totally ordered by the monotone seq_ stamp that
-// call_at() and arm_timeout() take. Any change that reorders
+// call_at(), arm_timeout() and poll() take. Any change that reorders
 // same-timestamp dispatch — a different heap, a different comparator,
 // unstable sort anywhere in the pop path — changes both. Schedule
 // exploration (src/simnet/explore.hpp) must go through set_tie_breaker(),
@@ -57,6 +57,30 @@
 // which may be earlier than the deadline of a timeout cancelled in
 // between.
 //
+// Poll lanes: a coroutine that polls memory on a fixed period (an RFP
+// client reading its response slot) awaits poll(node, period) instead of
+// delay(period). Its PollNode, embedded in the waiter, carries an `idle`
+// predicate with no side effects: true while the waiter, resumed now,
+// would find nothing to do and sleep another period. poll() appends the
+// tick (now + period, seq) to the FIFO ring of its period, taking its seq
+// exactly where delay() would; every tick of a ring is stamped that way,
+// so the ring is sorted by construction and lives outside the heap. The
+// run loop dispatches whichever of the heap's top and the rings' fronts
+// is earlier by (t, seq). At a tick it sets the clock and asks `idle`:
+//  - if it holds, the tick is re-appended at (t + period, seq_++), the seq
+//    the waiter's own delay() would have taken at that point, and nothing
+//    is dispatched. Every read and every same-instant order of a delay()
+//    loop is thus kept, and the seq stamps run exactly as they did;
+//  - otherwise the waiter resumes as an event at the tick's (t, seq).
+// An idle tick moves the clock like the event it replaces, and it samples
+// sim.sched.queue_depth, which counts armed ticks as queued. It is not an
+// event: it is never counted in events_processed() or sim.sched.events,
+// and it runs no profiler scope. With a tie-breaker installed poll() is a
+// plain delay(period), so exploration offers every tick as a candidate;
+// set_tie_breaker() asserts that no poll is armed. A poll cannot be
+// cancelled: as after delay(), its waiter stays suspended until a tick
+// resumes it or the scheduler is destroyed.
+//
 // Lifetime: root tasks handed to spawn() are owned by the scheduler, which
 // threads them through their promises into one intrusive list of live
 // roots, in spawn order; spawning allocates nothing. A root that finishes
@@ -65,6 +89,7 @@
 // Never resume a scheduler's handles after it is destroyed.
 #pragma once
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
@@ -72,6 +97,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/ring_deque.hpp"
 #include "simnet/task.hpp"
 #include "simnet/time.hpp"
 #include "simnet/unique_function.hpp"
@@ -116,6 +142,13 @@ class Scheduler {
     TimeoutLane* lane = nullptr;  ///< non-null while armed
     std::uint64_t pos = 0;        ///< absolute ring position in `lane`
     bool armed() const { return lane != nullptr; }
+  };
+
+  /// A poller embedded in its waiter (see "Poll lanes" above). The owner
+  /// sets `idle` and awaits poll(); `idle` must not change any state.
+  struct PollNode {
+    bool (*idle)(Scheduler&, PollNode&) = nullptr;
+    std::coroutine_handle<> waiter;  ///< set by poll()
   };
 
   Scheduler();
@@ -168,6 +201,28 @@ class Scheduler {
     return Awaiter{*this, dt};
   }
 
+  /// Awaitable: suspend for `period`, then for another `period` at every
+  /// tick at which node.idle holds (see "Poll lanes" above). With a
+  /// tie-breaker installed, the same as delay(period).
+  auto poll(PollNode& node, Time period) {
+    struct Awaiter {
+      Scheduler& sched;
+      PollNode& node;
+      Time period;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        if (sched.tie_breaker_ != nullptr) {
+          sched.resume_at(sched.now_ + period, h);
+          return;
+        }
+        node.waiter = h;
+        sched.arm_poll(node, period);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, node, period};
+  }
+
   /// Run until the event queue is empty. Returns the final virtual time:
   /// the last event's, or the latest deadline of any timeout ever armed.
   Time run();
@@ -187,8 +242,11 @@ class Scheduler {
   /// Install (or clear, with nullptr) a same-timestamp dispatch policy.
   /// The breaker must outlive its installation. With none installed the
   /// scheduler takes the branch-free fast path and the pinned
-  /// insertion-order guarantee holds bit-for-bit.
-  void set_tie_breaker(TieBreaker* tb) { tie_breaker_ = tb; }
+  /// insertion-order guarantee holds bit-for-bit. No poll may be armed.
+  void set_tie_breaker(TieBreaker* tb) {
+    assert(polls_armed_ == 0 && "install a tie-breaker before any poll is armed");
+    tie_breaker_ = tb;
+  }
   TieBreaker* tie_breaker() const { return tie_breaker_; }
 
  private:
@@ -223,10 +281,25 @@ class Scheduler {
     }
   };
 
+  /// One FIFO of armed poll ticks sharing a period, sorted by (t, seq)
+  /// because every tick is stamped (now + period, seq_++).
+  struct PollLane {
+    struct Tick {
+      Time t;
+      std::uint64_t seq;
+      PollNode* node;
+    };
+    Time period = 0;
+    RingDeque<Tick> ticks;  ///< grows to the high-water size, then reused
+  };
+
   static constexpr std::size_t kArity = 4;
 
+  static bool before(Time at, std::uint64_t aseq, Time bt, std::uint64_t bseq) {
+    return at != bt ? at < bt : aseq < bseq;
+  }
   static bool before(Time at, std::uint64_t aseq, const Entry& b) {
-    return at != b.t ? at < b.t : aseq < b.seq;
+    return before(at, aseq, b.t, b.seq);
   }
 
   /// Remove the minimum entry into `out` (heap must be non-empty).
@@ -266,10 +339,26 @@ class Scheduler {
   /// its entries are armed, else double it keeping every position.
   static void make_room(TimeoutLane& lane);
 
+  /// Append `node`'s next tick to the lane of `period`, made on first use.
+  void arm_poll(PollNode& node, Time period);
+
+  /// Append the tick (now + period, seq_++) for `node` to `lane`.
+  void append_tick(PollLane& lane, PollNode& node);
+
+  /// The poll lane whose front tick comes before the heap's top and not
+  /// after `deadline`, or null (some poll must be armed).
+  PollLane* due_poll_lane(Time deadline);
+
+  /// Take the front tick of `lane`: re-arm it if its node is idle, else
+  /// resume the waiter as an event.
+  void dispatch_tick(PollLane& lane);
+
   std::vector<Entry> heap_;
   std::vector<UniqueFunction> slots_;     ///< closures, indexed by Entry::slot
   std::vector<std::uint32_t> free_slots_;  ///< recycled slots_ indices
   std::vector<std::unique_ptr<TimeoutLane>> lanes_;  ///< indexed by lane id; never shrinks
+  std::vector<PollLane> poll_lanes_;  ///< one per distinct period; never shrinks
+  std::size_t polls_armed_ = 0;       ///< ticks in every poll lane
   detail::RootLink roots_{&roots_, &roots_};  ///< sentinel of the live roots' list
   std::vector<std::pair<std::uint64_t, std::uint32_t>>
       tie_scratch_;  ///< (seq, heap index) candidates for pop_choice_into
@@ -279,7 +368,7 @@ class Scheduler {
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
   obs::Counter* events_metric_;     ///< sim.sched.events
-  obs::Gauge* queue_depth_metric_;  ///< sim.sched.queue_depth (sampled per event)
+  obs::Gauge* queue_depth_metric_;  ///< sim.sched.queue_depth (sampled per event and tick)
 };
 
 /// Prefix every RMC_LOG_* line with this scheduler's virtual time

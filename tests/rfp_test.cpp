@@ -5,9 +5,10 @@
 // rings, slot-epoch reuse (wrap-around without clearing writes), the
 // ring-full / oversize / reply-overflow backpressure ladders into classic
 // RPC, torn-frame handling on both sides of the fabric, lost-slot
-// reclamation, and — the governing invariant, inherited from the
-// one-sided suite — that under scripted link loss an RFP client never
-// surfaces a torn value.
+// reclamation, the client's poll ticks (what a warm op costs in events,
+// and the instants at which a timeout or a failure ends an op), and — the
+// governing invariant, inherited from the one-sided suite — that under
+// scripted link loss an RFP client never surfaces a torn value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,13 +161,12 @@ struct ChannelWorld {
 
   /// One GET through the raw channel; returns the op result status (the
   /// response status is checked by the caller via out).
-  Task<Result<rfp::OpResult>> raw_get(std::string_view key) {
+  Task<Result<rfp::OpResult>> raw_get(std::string_view key, sim::Time timeout = 1 * kNsPerSec) {
     ucrp::RequestHeader hdr;
     hdr.op = ucrp::Op::get;
     hdr.key_len = static_cast<std::uint16_t>(key.size());
     co_return co_await channel->execute(
-        *ep, hdr, std::as_bytes(std::span<const char>(key.data(), key.size())), {},
-        1 * kNsPerSec);
+        *ep, hdr, std::as_bytes(std::span<const char>(key.data(), key.size())), {}, timeout);
   }
 
   Task<Result<rfp::OpResult>> raw_set(std::string_view key, const std::string& value) {
@@ -573,7 +573,88 @@ TEST(Rfp, ClientRetriesTornResponseFrameUntilTheRealOneLands) {
     wk.channel->release(r->slot);
   }(w));
 
-  EXPECT_GT(metric("mc.rfp.torn_retries") - torn0, 0u);
+  // One torn read per tick until the genuine response overwrites the forgery.
+  EXPECT_EQ(metric("mc.rfp.torn_retries") - torn0, 36u);
+}
+
+// ------------------------------------------------------ poll ticks ----
+//
+// The client polls its response slot through the scheduler's poll lane:
+// a tick that finds the slot empty costs no event, and every outcome is
+// still seen at the tick where a delay() loop saw it. The request leaves
+// kRequestBuildNs (300 ns) after execute() starts, on an idle client CPU;
+// the slot is read at once and then every kPollNs (200 ns).
+
+TEST(Rfp, WarmGetAndSetCostExactEventCounts) {
+  // With one client, most of these are the server's sweeps, which bill its
+  // CPU; the client's ticks that find the slot empty add none.
+  RfpWorld w;
+  std::uint64_t get_events = 0;
+  std::uint64_t set_events = 0;
+  w.drive([](RfpWorld& wk, std::uint64_t& get_n, std::uint64_t& set_n) -> Task<> {
+    EXPECT_TRUE((co_await wk.client->connect_all()).ok());
+    const std::string value(64, 'v');
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_TRUE((co_await wk.client->set("warm", bytes_view(value))).ok());
+      EXPECT_TRUE((co_await wk.client->get("warm")).ok());
+    }
+    std::uint64_t before = wk.sched.events_processed();
+    EXPECT_TRUE((co_await wk.client->get("warm")).ok());
+    get_n = wk.sched.events_processed() - before;
+    before = wk.sched.events_processed();
+    EXPECT_TRUE((co_await wk.client->set("warm", bytes_view(value))).ok());
+    set_n = wk.sched.events_processed() - before;
+  }(w, get_events, set_events));
+  EXPECT_EQ(get_events, 52u);
+  EXPECT_EQ(set_events, 53u);
+}
+
+TEST(Rfp, TimedOutOpReturnsAtTheFirstTickAtOrAfterItsDeadline) {
+  ChannelWorld w;
+  w.drive([](ChannelWorld& wk) -> Task<> {
+    EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+    auto stored = co_await wk.raw_set("slow", "value");
+    EXPECT_TRUE(stored.ok());
+    if (!stored.ok()) co_return;
+    wk.channel->release(stored->slot);
+
+    // The deadline, 1030 ns after the post, falls between the ticks at
+    // 1000 and 1200 ns; the response needs several microseconds.
+    const std::uint32_t seq = wk.channel->slot_seq_for_test(0);
+    const sim::Time start = wk.sched.now();
+    auto r = co_await wk.raw_get("slow", 1'030);
+    EXPECT_EQ(r.error(), Errc::timed_out);
+    EXPECT_EQ(wk.sched.now() - start, 300u + 1'200u);
+    EXPECT_EQ(wk.channel->slots_in_flight(), 0u);
+    // Lost, not free: its epoch stays open, and the next op, issued before
+    // the late response lands, takes the next slot.
+    EXPECT_EQ(wk.channel->slot_seq_for_test(0), seq);
+    auto next = co_await wk.raw_get("slow");
+    EXPECT_TRUE(next.ok());
+    if (!next.ok()) co_return;
+    EXPECT_EQ(next->slot, 1u);
+    wk.channel->release(next->slot);
+  }(w));
+}
+
+TEST(Rfp, EndpointFailureMidPollReturnsDisconnectedAtTheNextTick) {
+  ChannelWorld w;
+  w.drive([](ChannelWorld& wk) -> Task<> {
+    EXPECT_TRUE((co_await wk.connect_and_bootstrap()).ok());
+    auto stored = co_await wk.raw_set("doomed", "value");
+    EXPECT_TRUE(stored.ok());
+    if (!stored.ok()) co_return;
+    wk.channel->release(stored->slot);
+
+    // The endpoint fails 1050 ns after the post, between two ticks.
+    const sim::Time start = wk.sched.now();
+    wk.sched.call_at(start + 300 + 1'050, [&wk] { wk.client_ucr.fail_endpoint(*wk.ep); });
+    auto r = co_await wk.raw_get("doomed");
+    EXPECT_EQ(r.error(), Errc::disconnected);
+    EXPECT_EQ(wk.sched.now() - start, 300u + 1'200u);
+    EXPECT_FALSE(wk.channel->ready());
+    EXPECT_EQ(wk.channel->slots_in_flight(), 0u);
+  }(w));
 }
 
 TEST(Rfp, TornBudgetExhaustionQuarantinesAndReclaimsTheSlot) {

@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event substrate: scheduler ordering, task
-// composition, events, counters (incl. timeout races), timeout lanes,
-// channels, CPU occupancy, fabric timing, and the move-only function
+// composition, events, counters (incl. timeout races), timeout lanes, poll
+// lanes, channels, CPU occupancy, fabric timing, and the move-only function
 // wrapper.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -634,6 +635,162 @@ TEST(TimeoutLane, SchedulerTeardownDisarmsSurvivingNodes) {
   EXPECT_FALSE(probes[0].armed());
   EXPECT_FALSE(probes[1].armed());
   EXPECT_TRUE(log.empty());
+}
+
+// --------------------------------------------------------- poll lanes ----
+
+/// A poller watching a mailbox that closures bump: idle while nothing new
+/// has arrived.
+struct Poller : Scheduler::PollNode {
+  int id = 0;
+  std::uint64_t mail = 0;          ///< bumped by the scenario's closures
+  std::uint64_t seen = 0;          ///< mail handled so far
+  std::uint64_t idle_resumes = 0;  ///< resumes at a tick that found nothing new
+  Poller() {
+    idle = [](Scheduler&, Scheduler::PollNode& n) {
+      const auto& p = static_cast<const Poller&>(n);
+      return p.mail == p.seen;
+    };
+  }
+};
+
+/// Every dispatched closure and every wake-up: (time, kind, id, the
+/// sim.sched.queue_depth sample the scheduler took for it).
+using Dispatches = std::vector<std::tuple<Time, char, int, std::int64_t>>;
+
+void note(Dispatches& log, Time t, char kind, int id) {
+  static const obs::Gauge& depth = obs::registry().gauge("sim.sched.queue_depth");
+  log.emplace_back(t, kind, id, depth.value());
+}
+
+/// Poll `p` every `period` until `last` mails have been seen, with poll()
+/// or with the delay() loop it replaces. Each wake-up queues a closure,
+/// which takes a seq stamp that must keep its place.
+Task<> watch(Scheduler& sched, Poller& p, Time period, bool use_poll, std::uint64_t last,
+             Dispatches& log) {
+  bool ticked = false;
+  for (;;) {
+    if (p.mail == p.seen) {
+      if (ticked) ++p.idle_resumes;
+    } else {
+      p.seen = p.mail;
+      note(log, sched.now(), 'W', p.id);
+      if (p.seen >= last) co_return;
+      sched.call_in(static_cast<Time>(p.id) * 10,
+                    [&sched, &log, id = p.id] { note(log, sched.now(), 'E', id); });
+    }
+    ticked = true;
+    if (use_poll) {
+      co_await sched.poll(p, period);
+    } else {
+      co_await sched.delay(period);
+    }
+  }
+}
+
+struct PollRun {
+  Dispatches log;
+  Time clock_on_grid = 0;   ///< after run_until(1000), a tick of the 200 ns grid
+  Time clock_off_grid = 0;  ///< after run_until(2170), no poller's tick
+  Time clock_end = 0;       ///< after run()
+  std::uint64_t events = 0;
+  std::uint64_t idle_resumes = 0;
+  std::int64_t depth_hwm = 0;  ///< of sim.sched.queue_depth
+};
+
+/// Six pollers: three on one 200 ns grid from t=0, one on the same period
+/// 50 ns later, and two on a 300 ns grid from 130 and from 0. Each gets
+/// six mails, every third tick, on or between its ticks. A mail at a tick
+/// is queued either in the period before the previous tick, so it takes
+/// its seq before that idle tick re-arms and is seen at its own tick, or
+/// inside the previous period, so it dispatches after its tick and is
+/// seen one period later.
+PollRun run_pollers(bool use_poll, TieBreaker* breaker) {
+  struct Grid {
+    Time start;
+    Time period;
+  };
+  constexpr Grid kGrids[] = {{0, 200}, {0, 200}, {0, 200}, {50, 200}, {130, 300}, {0, 300}};
+  constexpr int kPollers = 6;
+  constexpr int kMails = 6;
+  obs::Gauge& depth = obs::registry().gauge("sim.sched.queue_depth");
+  depth.reset();
+  PollRun out;
+  Scheduler sched;
+  if (breaker != nullptr) sched.set_tie_breaker(breaker);
+  std::deque<Poller> pollers(kPollers);
+  for (int i = 0; i < kPollers; ++i) {
+    Poller& p = pollers[static_cast<std::size_t>(i)];
+    p.id = i;
+    const Grid grid = kGrids[i];
+    sched.call_at(grid.start, [&sched, &p, &out, grid, use_poll] {
+      sched.spawn(watch(sched, p, grid.period, use_poll, kMails, out.log));
+    });
+    for (int k = 1; k <= kMails; ++k) {
+      const Time tick = grid.start + static_cast<Time>(3 * k + i % 3) * grid.period;
+      auto deliver = [&sched, &p, &out, k] {
+        ++p.mail;
+        note(out.log, sched.now(), 'C', p.id * 10 + k);
+      };
+      if (k % 3 == 2) {
+        sched.call_at(tick + 37, deliver);
+        continue;
+      }
+      const Time queued = tick - (k % 3 == 0 ? grid.period * 3 / 2 : grid.period / 2);
+      sched.call_at(queued, [&sched, tick, deliver] { sched.call_at(tick, deliver); });
+    }
+  }
+  out.clock_on_grid = sched.run_until(1'000);
+  out.clock_off_grid = sched.run_until(2'170);
+  out.clock_end = sched.run();
+  out.events = sched.events_processed();
+  for (const Poller& p : pollers) {
+    EXPECT_EQ(p.seen, static_cast<std::uint64_t>(kMails)) << "poller " << p.id;
+    out.idle_resumes += p.idle_resumes;
+  }
+  out.depth_hwm = depth.hwm();
+  return out;
+}
+
+void expect_same_run(const PollRun& delayed, const PollRun& polled) {
+  EXPECT_EQ(polled.log, delayed.log);
+  EXPECT_EQ(polled.clock_on_grid, delayed.clock_on_grid);
+  EXPECT_EQ(polled.clock_off_grid, delayed.clock_off_grid);
+  EXPECT_EQ(polled.clock_end, delayed.clock_end);
+  EXPECT_EQ(polled.events - polled.idle_resumes, delayed.events - delayed.idle_resumes);
+  EXPECT_EQ(polled.depth_hwm, delayed.depth_hwm);
+}
+
+TEST(PollLane, DispatchesAsADelayLoopDoesWithoutIdleTicks) {
+  const PollRun delayed = run_pollers(false, nullptr);
+  const PollRun polled = run_pollers(true, nullptr);
+  expect_same_run(delayed, polled);
+  // The delay() loop resumed at idle ticks; poll() resumed only to work.
+  EXPECT_GT(delayed.idle_resumes, 30u);
+  EXPECT_EQ(polled.idle_resumes, 0u);
+  EXPECT_EQ(polled.events + delayed.idle_resumes, delayed.events);
+  EXPECT_EQ(polled.clock_on_grid, 1'000u);
+  // 36 mails, each seen by one wake-up, each but the last six with an echo.
+  EXPECT_EQ(std::count_if(polled.log.begin(), polled.log.end(),
+                          [](const auto& d) { return std::get<1>(d) == 'W'; }),
+            36);
+}
+
+TEST(PollLane, UnderATieBreakerPollIsADelay) {
+  // poll() sleeps with delay() under a breaker, so both runs offer the
+  // breaker the same candidates and it permutes them alike.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ScheduleExplorer for_delay = ScheduleExplorer::permutation(seed);
+    ScheduleExplorer for_poll = ScheduleExplorer::permutation(seed);
+    for_delay.begin_run();
+    for_poll.begin_run();
+    const PollRun delayed = run_pollers(false, &for_delay);
+    const PollRun polled = run_pollers(true, &for_poll);
+    SCOPED_TRACE(seed);
+    expect_same_run(delayed, polled);
+    EXPECT_EQ(polled.idle_resumes, delayed.idle_resumes);
+    EXPECT_GT(polled.idle_resumes, 30u);
+  }
 }
 
 // ------------------------------------------------------------ channel ----
