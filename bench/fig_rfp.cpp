@@ -12,7 +12,9 @@
 // server, so the 4K GET row pays a ring probe plus the RPC re-run —
 // the visible price of mis-sizing slots for the value distribution.
 //
-// `--seed <n>` reruns under a different deterministic workload stream.
+// `--seed <n>` reruns under a different deterministic workload stream;
+// `--tie-breaker insertion` runs every cell with the insertion-mode
+// explorer installed, which must leave the output byte-identical.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -34,6 +36,7 @@ double run_mode(core::ClusterKind cluster, Mode mode, core::OpPattern pattern,
   config.transport = core::TransportKind::ucr_verbs;
   config.client.mode = mode;
   core::TestBed bed(config);
+  if (sim::TieBreaker* breaker = cell_tie_breaker()) bed.scheduler().set_tie_breaker(breaker);
   core::WorkloadConfig workload;
   workload.pattern = pattern;
   workload.value_size = value_size;
@@ -115,6 +118,7 @@ std::vector<SetCell> set_sweep(core::ClusterKind cluster, const std::vector<std:
 
 int main(int argc, char** argv) {
   const bool csv = csv_mode(argc, argv);
+  init_tie_breaker(argc, argv);
   const std::string profile_file = profile_path(argc, argv);
   const std::uint64_t seed = seed_arg(argc, argv);
   const std::vector<std::uint32_t> sizes{4, 64, 256, 1024, 4096};
